@@ -89,7 +89,7 @@ struct WorkloadSpec {
 // Why each workload exists is recorded in BENCHMARK.json and README.md.
 constexpr WorkloadSpec kWorkloads[] = {
     {"magic", "S10", 8000, 2000, 0.10, 500, 1500, 3},
-    {"usps", "S13", 4000, 1000, 0.0, 250, 600, 3},
+    {"usps", "S13", 2000, 1000, 0.0, 250, 600, 3},
     {"banana", "S5", 4000, 1300, 0.0, 500, 2000, 8},
 };
 
@@ -416,62 +416,83 @@ std::string MetricsJson(const MetricSet& m) {
   return o.str() + "}";
 }
 
-struct FitPhase {
-  std::vector<std::vector<double>> fit_ms;  // per draw; draw 0 is served
-  FitSummary served;  // draw 0, the data the served model is trained on
-  std::int64_t fits = 0;
-  std::int64_t disagreements = 0;  // repeated fits of one draw that differ
-
-  /// One fit, averaged over the draws: the mean of each draw's median.
-  double FitMs() const {
-    double sum = 0.0;
-    for (const auto& v : fit_ms) sum += Median(v);
-    return sum / static_cast<double>(fit_ms.size());
-  }
-};
-
-/// RunGbabs until the fit share of the run is spent, cycling over several
-/// draws of the generator so that no single draw's cost sets fit_s.
-FitPhase RunFits(const WorkloadSpec& w, const Options& o,
-                 const gbx::Dataset& served_train) {
-  std::vector<gbx::Dataset> data{served_train};
-  for (int k = 1; k < w.fit_draws; ++k) {
-    data.push_back(MakeInputs(w, DrawSeed(o.seed, k)).train);
-  }
-  std::vector<std::optional<FitSummary>> first(w.fit_draws);
-  FitPhase f;
-  f.fit_ms.resize(w.fit_draws);
-  const double begin = NowS();
-  for (int i = 0; i < w.fit_draws || NowS() - begin < kFitShare * o.seconds;
-       ++i) {
-    const int k = i % w.fit_draws;
-    const double t = NowS();
-    const gbx::GbabsConfig config{GbgConfig(DrawSeed(o.seed, k)), 0};
-    const gbx::GbabsResult r = gbx::RunGbabs(data[k], config);
-    f.fit_ms[k].push_back((NowS() - t) * 1e3);
-    ++f.fits;
-    const FitSummary s = Summarize(r);
-    if (!first[k]) {
-      first[k] = s;
-    } else if (!(*first[k] == s)) {
-      ++f.disagreements;
+/// Repeated RunGbabs fits, cycling over several draws of the generator so
+/// that no single draw's cost sets fit_s. Fits run in blocks between the
+/// serving windows, so they sample the whole run rather than one stretch
+/// of it.
+class FitPhase {
+ public:
+  FitPhase(const WorkloadSpec& w, const Options& o,
+           const gbx::Dataset& served_train)
+      : seed_(o.seed), first_(w.fit_draws), fit_ms_(w.fit_draws) {
+    data_.push_back(served_train);
+    for (int k = 1; k < w.fit_draws; ++k) {
+      data_.push_back(MakeInputs(w, DrawSeed(o.seed, k)).train);
     }
   }
-  f.served = *first[0];
-  return f;
-}
+
+  /// Fits until `budget_s` is spent; at least one fit.
+  void RunFor(double budget_s) {
+    const double begin = NowS();
+    do {
+      FitNext();
+    } while (NowS() - begin < budget_s);
+  }
+
+  /// Fits each draw that has not been fitted yet.
+  void CoverAllDraws() {
+    while (fits_ < static_cast<std::int64_t>(data_.size())) FitNext();
+  }
+
+  /// One fit: the median over all fits. Draws are cycled, so each one
+  /// contributes as many fits as the others, give or take one.
+  double FitMs() const {
+    std::vector<double> all;
+    for (const auto& v : fit_ms_) all.insert(all.end(), v.begin(), v.end());
+    return Median(std::move(all));
+  }
+  double ServedFitMs() const { return Median(fit_ms_[0]); }
+  const std::vector<std::vector<double>>& fit_ms() const { return fit_ms_; }
+  const FitSummary& served() const { return *first_[0]; }
+  std::int64_t fits() const { return fits_; }
+  std::int64_t disagreements() const { return disagreements_; }
+
+ private:
+  void FitNext() {
+    const int k =
+        static_cast<int>(fits_ % static_cast<std::int64_t>(data_.size()));
+    const gbx::GbabsConfig config{GbgConfig(DrawSeed(seed_, k)), 0};
+    const double t = NowS();
+    const gbx::GbabsResult r = gbx::RunGbabs(data_[k], config);
+    fit_ms_[k].push_back((NowS() - t) * 1e3);
+    ++fits_;
+    const FitSummary s = Summarize(r);
+    if (!first_[k]) {
+      first_[k] = s;
+    } else if (!(*first_[k] == s)) {
+      ++disagreements_;
+    }
+  }
+
+  std::uint64_t seed_;
+  std::vector<gbx::Dataset> data_;  // draw 0 is the served model's data
+  std::vector<std::optional<FitSummary>> first_;
+  std::vector<std::vector<double>> fit_ms_;  // per draw
+  std::int64_t fits_ = 0;
+  std::int64_t disagreements_ = 0;  // repeated fits of one draw that differ
+};
 
 struct ServingPhase {
   std::vector<PhaseStats> lows, highs, sats;
   SeriesSnapshot low_series, high_series, sat_series;
 };
 
-/// Rounds of a low-rate window, a high-rate window and a closed-loop
-/// saturation window, so every phase samples the whole serving period.
+/// Rounds of a fit block, a low-rate window, a high-rate window and a
+/// closed-loop saturation window, so every phase samples the whole run.
 /// Each window also records the process CPU time it used and the
 /// program's own serving series over it.
-ServingPhase RunServing(const WorkloadSpec& w, const Options& o,
-                        LoadClient& client) {
+ServingPhase RunRounds(const WorkloadSpec& w, const Options& o,
+                       LoadClient& client, FitPhase* fits) {
   ServingPhase sv;
   auto window = [](auto&& run, SeriesSnapshot* series,
                    std::vector<PhaseStats>* out) {
@@ -484,6 +505,7 @@ ServingPhase RunServing(const WorkloadSpec& w, const Options& o,
   const int rounds =
       std::max(3, static_cast<int>(std::lround(kRoundShare * o.seconds)));
   for (int k = 0; k < rounds; ++k) {
+    fits->RunFor(kFitShare * o.seconds / rounds);
     window([&] {
       return client.Run("low", w.low_qps, kLowWindowS, kHealthRate,
                         kScrapeRate, 2.0);
@@ -496,6 +518,7 @@ ServingPhase RunServing(const WorkloadSpec& w, const Options& o,
       return client.RunClosed("sat", kSatWindowS, kSatInFlight, 2.0);
     }, &sv.sat_series, &sv.sats);
   }
+  fits->CoverAllDraws();
   return sv;
 }
 
@@ -558,15 +581,19 @@ int Run(const Options& o) {
     if (dep->warmup.wrong > 0) problem("warm-up replies disagree with the model");
   }
 
+  // Fits and serving rounds, interleaved.
+  FitPhase fits(*w, o, dep->in.train);
+  LoadClient& client = *dep->client;
+  const ServingPhase sv = RunRounds(*w, o, client, &fits);
+
   // Training, checked against the served model and the recorded golden.
-  const FitPhase fits = RunFits(*w, o, dep->in.train);
-  attempted += fits.fits;
-  failed += fits.disagreements;
-  if (fits.disagreements > 0) problem("repeated RunGbabs fits disagree");
-  if (fits.served.balls != dep->model->num_balls()) {
+  attempted += fits.fits();
+  failed += fits.disagreements();
+  if (fits.disagreements() > 0) problem("repeated RunGbabs fits disagree");
+  if (fits.served().balls != dep->model->num_balls()) {
     problem("GB-kNN and RunGbabs granulations differ in ball count");
   }
-  const std::string fit_line = GoldenLine(w->name, o.seed, fits.served);
+  const std::string fit_line = GoldenLine(w->name, o.seed, fits.served());
   std::string golden = "absent";
   if (!o.golden.empty()) {
     const std::string want = FindGolden(o.golden, w->name, o.seed);
@@ -580,8 +607,6 @@ int Run(const Options& o) {
     }
   }
 
-  LoadClient& client = *dep->client;
-  const ServingPhase sv = RunServing(*w, o, client);
   const PhaseStats low = Pool(sv.lows), high = Pool(sv.highs),
                    sat = Pool(sv.sats);
   for (const PhaseStats* p : {&low, &high, &sat}) {
@@ -630,10 +655,10 @@ int Run(const Options& o) {
     CoreInputs ci;
     ci.train = &dep->in.train;
     ci.gbg = GbgConfig(o.seed);
-    ci.fit_ms = Median(fits.fit_ms[0]);
+    ci.fit_ms = fits.ServedFitMs();
     bool layers_ok = true;
     MeasureTraining(ci, &layers, &traced_fit_ms, &layers_ok);
-    const FitSummary& f = fits.served;
+    const FitSummary& f = fits.served();
     layers.Add("core.rd_gbg.balls", f.balls, "count");
     layers.Add("core.rd_gbg.iterations", f.iterations, "count");
     layers.Add("core.rd_gbg.noise", f.noise, "count");
@@ -670,7 +695,7 @@ int Run(const Options& o) {
     layers.Add("bench.generator_late_ms.p99", Quantile(late, 0.99), "ms");
     layers.Add("bench.generator_late_ms.max", Quantile(late, 1.0), "ms");
     layers.Add("bench.trace_overhead",
-               traced_fit_ms / Median(fits.fit_ms[0]), "ratio");
+               traced_fit_ms / fits.ServedFitMs(), "ratio");
   }
 
   // Metadata line, then the result line.
@@ -691,10 +716,10 @@ int Run(const Options& o) {
        << ",\"invalid_reason\":" << JsonQuote(invalid_reason)
        << ",\"golden\":" << JsonQuote(golden)
        << ",\"fit\":" << JsonQuote(fit_line)
-       << ",\"fits\":" << fits.fits
+       << ",\"fits\":" << fits.fits()
        << ",\"fit_draw_ms\":[";
-  for (std::size_t k = 0; k < fits.fit_ms.size(); ++k) {
-    meta << (k ? "," : "") << JsonNumber(Median(fits.fit_ms[k]));
+  for (std::size_t k = 0; k < fits.fit_ms().size(); ++k) {
+    meta << (k ? "," : "") << JsonNumber(Median(fits.fit_ms()[k]));
   }
   meta << "]"
        << ",\"rounds\":" << sv.lows.size() << ",\"problems\":[";

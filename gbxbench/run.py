@@ -3,7 +3,7 @@
 
 Run from the root of a gbx checkout:
 
-    python3 gbxbench/run.py --workload magic --seed 1 --seconds 20 --trace 0
+    python3 gbxbench/run.py --workload magic --seed 1 --seconds 25 --trace 0
 
 The first call configures and builds the library and gbxbench in
 $CARGO_TARGET_DIR/gbxbench (default .bench_build/gbxbench); later calls
