@@ -41,7 +41,6 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +53,7 @@
 #include "ml/metrics.h"
 #include "serve/engine.h"
 #include "serve/model_io.h"
+#include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 
@@ -314,11 +314,9 @@ int RunTrain(const Args& args) {
       return 1;
     }
     for (int i = 0; i < split.test.size(); ++i) {
-      for (int j = 0; j < split.test.num_features(); ++j) {
-        std::fprintf(f, "%s%.17g", j > 0 ? "," : "",
-                     split.test.feature(i, j));
-      }
-      std::fprintf(f, "\n");
+      const std::string line = FormatPredictPayload(
+          "", split.test.row(i), split.test.num_features());
+      std::fprintf(f, "%s\n", line.c_str());
     }
     std::fclose(f);
   }
@@ -416,24 +414,28 @@ int RunPredict(const Args& args) {
     return 0;
   }
 
-  // Streaming line protocol: one query per line, one label per line.
+  // Streaming line protocol: one query per line, one label per line,
+  // each line a gbx-wire predict payload without the @model prefix or a
+  // timeout_ms deadline (both only mean something to a server).
   std::string line;
+  std::string model_name;
+  double timeout_ms = 0.0;
   std::vector<double> query;
   int lineno = 0;
   while (std::getline(std::cin, line)) {
     ++lineno;
     if (line.empty() || line[0] == '#') continue;
-    for (char& c : line) {
-      if (c == ',' || c == '\t') c = ' ';
-    }
-    query.clear();
-    std::istringstream fields(line);
-    double v = 0.0;
-    while (fields >> v) query.push_back(v);
-    std::string rest;
-    if (fields.bad() || (fields.clear(), fields >> rest)) {
-      std::fprintf(stderr, "gbx_serve predict: unparseable line %d\n",
-                   lineno);
+    const Status parsed =
+        ParsePredictPayload(line, &model_name, &timeout_ms, &query);
+    const char* why = !parsed.ok() ? parsed.message().c_str()
+                      : !model_name.empty()
+                          ? "@model routing needs the serve subcommand"
+                      : timeout_ms > 0.0
+                          ? "timeout_ms deadlines need the serve subcommand"
+                          : nullptr;
+    if (why != nullptr) {
+      std::fprintf(stderr, "gbx_serve predict: unparseable line %d: %s\n",
+                   lineno, why);
       return 1;
     }
     const StatusOr<int> label = engine.Predict(query);

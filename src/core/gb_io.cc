@@ -1,53 +1,78 @@
 #include "core/gb_io.h"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+
+#include "common/num_text.h"
 
 namespace gbx {
 
 std::string GranularBallsToString(const GranularBallSet& balls) {
-  std::ostringstream out;
-  out.precision(17);
   const Matrix& x = balls.scaled_features();
-  out << "gbx-granular-balls v1\n";
-  out << "dims " << x.cols() << " classes " << balls.num_classes()
-      << " balls " << balls.size() << " samples " << x.rows() << "\n";
+  std::string out;
+  // ~20 bytes per %.17g value; one reservation covers most documents.
+  out.reserve(static_cast<std::size_t>(x.rows() + balls.size()) *
+                  static_cast<std::size_t>(x.cols()) * 20 +
+              64);
+  out += "gbx-granular-balls v1\ndims ";
+  AppendInt(x.cols(), &out);
+  out += " classes ";
+  AppendInt(balls.num_classes(), &out);
+  out += " balls ";
+  AppendInt(balls.size(), &out);
+  out += " samples ";
+  AppendInt(x.rows(), &out);
+  out += '\n';
   for (const GranularBall& ball : balls.balls()) {
-    out << "ball " << ball.label << " " << ball.radius << " "
-        << ball.center_index;
-    for (double c : ball.center) out << " " << c;
-    out << " members " << ball.members.size();
-    for (int m : ball.members) out << " " << m;
-    out << "\n";
+    out += "ball ";
+    AppendInt(ball.label, &out);
+    out += ' ';
+    AppendDouble(ball.radius, &out);
+    out += ' ';
+    AppendInt(ball.center_index, &out);
+    for (double c : ball.center) {
+      out += ' ';
+      AppendDouble(c, &out);
+    }
+    out += " members ";
+    AppendInt(ball.members.size(), &out);
+    for (int m : ball.members) {
+      out += ' ';
+      AppendInt(m, &out);
+    }
+    out += '\n';
   }
-  out << "features\n";
+  out += "features\n";
   for (int i = 0; i < x.rows(); ++i) {
     const double* row = x.Row(i);
     for (int j = 0; j < x.cols(); ++j) {
-      if (j > 0) out << " ";
-      out << row[j];
+      if (j > 0) out += ' ';
+      AppendDouble(row[j], &out);
     }
-    out << "\n";
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
-StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line) || line != "gbx-granular-balls v1") {
+StatusOr<GranularBallSet> GranularBallsFromString(std::string_view text) {
+  NumScanner in(text);
+  std::string_view line;
+  if (!in.ReadLine(&line) || line != "gbx-granular-balls v1") {
     return Status::InvalidArgument("bad magic line");
   }
-  std::string tok;
+  std::string_view tok;
   int dims = 0;
   int classes = 0;
   int num_balls = 0;
   int samples = 0;
   {
-    std::string k1, k2, k3, k4;
-    if (!(in >> k1 >> dims >> k2 >> classes >> k3 >> num_balls >> k4 >>
-          samples) ||
+    std::string_view k1, k2, k3, k4;
+    if (!(in.ReadWord(&k1) && in.ReadInt(&dims) && in.ReadWord(&k2) &&
+          in.ReadInt(&classes) && in.ReadWord(&k3) &&
+          in.ReadInt(&num_balls) && in.ReadWord(&k4) &&
+          in.ReadInt(&samples)) ||
         k1 != "dims" || k2 != "classes" || k3 != "balls" || k4 != "samples") {
       return Status::InvalidArgument("bad header line");
     }
@@ -68,12 +93,13 @@ StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
   std::vector<GranularBall> balls;
   balls.reserve(num_balls);
   for (int b = 0; b < num_balls; ++b) {
-    if (!(in >> tok) || tok != "ball") {
+    if (!in.ReadWord(&tok) || tok != "ball") {
       return Status::InvalidArgument("expected 'ball' record " +
                                      std::to_string(b));
     }
     GranularBall ball;
-    if (!(in >> ball.label >> ball.radius >> ball.center_index)) {
+    if (!(in.ReadInt(&ball.label) && in.ReadDouble(&ball.radius) &&
+          in.ReadInt(&ball.center_index))) {
       return Status::InvalidArgument("truncated ball header");
     }
     if (!std::isfinite(ball.radius) || ball.radius < 0.0) {
@@ -86,7 +112,7 @@ StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
     }
     ball.center.resize(dims);
     for (int j = 0; j < dims; ++j) {
-      if (!(in >> ball.center[j])) {
+      if (!in.ReadDouble(&ball.center[j])) {
         return Status::InvalidArgument("truncated ball center");
       }
       if (!std::isfinite(ball.center[j])) {
@@ -94,16 +120,17 @@ StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
                                        " has a non-finite center coordinate");
       }
     }
-    std::size_t member_count = 0;
-    if (!(in >> tok >> member_count) || tok != "members") {
+    std::uint64_t member_count = 0;
+    if (!(in.ReadWord(&tok) && in.ReadUint64(&member_count)) ||
+        tok != "members") {
       return Status::InvalidArgument("expected member list");
     }
-    if (member_count > static_cast<std::size_t>(budget)) {
+    if (member_count > static_cast<std::uint64_t>(budget)) {
       return Status::InvalidArgument("member count exceeds input size");
     }
     ball.members.resize(member_count);
     for (std::size_t m = 0; m < member_count; ++m) {
-      if (!(in >> ball.members[m])) {
+      if (!in.ReadInt(&ball.members[m])) {
         return Status::InvalidArgument("truncated member list");
       }
       if (ball.members[m] < 0 || ball.members[m] >= samples) {
@@ -116,13 +143,13 @@ StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
     balls.push_back(std::move(ball));
   }
 
-  if (!(in >> tok) || tok != "features") {
+  if (!in.ReadWord(&tok) || tok != "features") {
     return Status::InvalidArgument("expected 'features' section");
   }
   Matrix x(samples, dims);
   for (int i = 0; i < samples; ++i) {
     for (int j = 0; j < dims; ++j) {
-      if (!(in >> x.At(i, j))) {
+      if (!in.ReadDouble(&x.At(i, j))) {
         return Status::InvalidArgument("truncated feature matrix");
       }
       if (!std::isfinite(x.At(i, j))) {
@@ -131,7 +158,7 @@ StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text) {
       }
     }
   }
-  if (in >> tok) {
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing data after feature matrix");
   }
   return GranularBallSet(std::move(balls), std::move(x), classes);

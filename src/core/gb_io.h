@@ -8,10 +8,14 @@
 //   ...
 //   features            # n rows of the scaled feature matrix
 //   <p doubles per row>
+//
+// Doubles are the bytes of %.17g and are read as `std::istream >>`
+// reads them (common/num_text.h), so values round-trip bit-exact.
 #ifndef GBX_CORE_GB_IO_H_
 #define GBX_CORE_GB_IO_H_
 
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 #include "core/granular_ball.h"
@@ -31,7 +35,7 @@ StatusOr<GranularBallSet> LoadGranularBalls(const std::string& path);
 /// Serializes to / parses from a string (used by the file functions and
 /// handy in tests).
 std::string GranularBallsToString(const GranularBallSet& balls);
-StatusOr<GranularBallSet> GranularBallsFromString(const std::string& text);
+StatusOr<GranularBallSet> GranularBallsFromString(std::string_view text);
 
 }  // namespace gbx
 

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <vector>
 
+#include "common/num_text.h"
+
 namespace gbx {
 
 namespace {
@@ -96,15 +98,26 @@ Status SaveCsv(const Dataset& dataset, const std::string& path,
   std::ofstream out(path);
   if (!out) return Status::InvalidArgument("cannot write " + path);
   const int p = dataset.num_features();
+  std::string text;
   if (options.has_header) {
-    for (int j = 0; j < p; ++j) out << "f" << j << options.delimiter;
-    out << "label\n";
+    for (int j = 0; j < p; ++j) {
+      text += 'f';
+      AppendInt(j, &text);
+      text += options.delimiter;
+    }
+    text += "label\n";
+    out << text;
   }
-  out.precision(17);
   for (int i = 0; i < dataset.size(); ++i) {
+    text.clear();
     const double* row = dataset.row(i);
-    for (int j = 0; j < p; ++j) out << row[j] << options.delimiter;
-    out << dataset.label(i) << "\n";
+    for (int j = 0; j < p; ++j) {
+      AppendDouble(row[j], &text);
+      text += options.delimiter;
+    }
+    AppendInt(dataset.label(i), &text);
+    text += '\n';
+    out << text;
   }
   if (!out) return Status::Internal("write failure on " + path);
   return Status::Ok();

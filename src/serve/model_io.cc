@@ -7,18 +7,18 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <limits>
-#include <sstream>
 
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/metrics.h"
+#include "common/num_text.h"
 #include "core/gb_io.h"
 
 namespace gbx {
@@ -55,19 +55,22 @@ void RecordIoFailure(const char* op, const Status& status) {
 constexpr char kMagic[] = "gbx-model v1";
 constexpr char kChecksumPrefix[] = "checksum fnv1a ";
 
-std::string ChecksumLine(const std::string& body) {
-  std::ostringstream out;
-  out << kChecksumPrefix << std::hex << std::setw(16) << std::setfill('0')
-      << Fnv1a64(body) << "\n";
-  return out.str();
+/// Appends the trailer line: the FNV-1a 64 of every byte before it, as
+/// 16 lowercase hex digits.
+void AppendChecksumLine(std::string* text) {
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, Fnv1a64(*text));
+  *text += kChecksumPrefix;
+  *text += hex;
+  *text += '\n';
 }
 
-void WriteVector(std::ostream& out, const std::vector<double>& v) {
+void AppendVector(const std::vector<double>& v, std::string* out) {
   for (std::size_t j = 0; j < v.size(); ++j) {
-    if (j > 0) out << " ";
-    out << v[j];
+    if (j > 0) *out += ' ';
+    AppendDouble(v[j], out);
   }
-  out << "\n";
+  *out += '\n';
 }
 
 Status ErrnoStatus(const std::string& what) {
@@ -174,14 +177,15 @@ Status WriteFileAtomic(const std::string& text, const std::string& path) {
 }
 
 /// Splits `text` into the checksum-covered body and verifies the final
-/// checksum line. Returns the body on success.
+/// checksum line. Returns a view of the body and sets `*checksum`.
 // Checksum-envelope failures are kDataLoss: the artifact's delivery is
 // damaged (truncated or bit-flipped in storage/transit). Parse failures
 // *after* the checksum verifies are kInvalidArgument instead — the
 // bytes arrived exactly as written, the format itself is wrong.
-StatusOr<std::string> VerifyChecksum(const std::string& text) {
+StatusOr<std::string_view> VerifyChecksum(std::string_view text,
+                                          std::uint64_t* checksum) {
   const std::size_t pos = text.rfind(kChecksumPrefix);
-  if (pos == std::string::npos) {
+  if (pos == std::string_view::npos) {
     return Status::DataLoss(
         "truncated artifact: missing checksum trailer line");
   }
@@ -212,18 +216,19 @@ StatusOr<std::string> VerifyChecksum(const std::string& text) {
       return Status::DataLoss("corrupt artifact: trailing data after checksum");
     }
   }
-  const std::string body = text.substr(0, pos);
+  const std::string_view body = text.substr(0, pos);
   if (Fnv1a64(body) != stored) {
     return Status::DataLoss("corrupt artifact: checksum mismatch");
   }
+  *checksum = stored;
   return body;
 }
 
-Status ReadFiniteVector(std::istream& in, int n, const char* what,
+Status ReadFiniteVector(NumScanner& in, int n, const char* what,
                         std::vector<double>* out) {
   out->resize(n);
   for (int j = 0; j < n; ++j) {
-    if (!(in >> (*out)[j])) {
+    if (!in.ReadDouble(&(*out)[j])) {
       return Status::InvalidArgument(std::string("truncated ") + what);
     }
     if (!std::isfinite((*out)[j])) {
@@ -234,9 +239,8 @@ Status ReadFiniteVector(std::istream& in, int n, const char* what,
   return Status::Ok();
 }
 
-StatusOr<LoadedModel> ParseGbKnn(std::istringstream& in,
-                                 const std::string& body,
-                                 const std::string& config_line, int classes,
+StatusOr<LoadedModel> ParseGbKnn(NumScanner& in, std::string_view body,
+                                 std::string_view config_line, int classes,
                                  int dims) {
   // The scaler section holds two dims-length vectors of >= 2 bytes per
   // value; reject headers promising more than the artifact holds before
@@ -244,8 +248,9 @@ StatusOr<LoadedModel> ParseGbKnn(std::istringstream& in,
   if (static_cast<long long>(dims) * 4 > static_cast<long long>(body.size())) {
     return Status::InvalidArgument("header declares more data than input");
   }
-  std::string tok, kind;
-  if (!(in >> tok >> kind) || tok != "scaler" || kind != "minmax") {
+  std::string_view tok, kind;
+  if (!(in.ReadWord(&tok) && in.ReadWord(&kind)) || tok != "scaler" ||
+      kind != "minmax") {
     return Status::InvalidArgument("expected 'scaler minmax' section");
   }
   std::vector<double> mins, maxs;
@@ -258,17 +263,17 @@ StatusOr<LoadedModel> ParseGbKnn(std::istringstream& in,
     }
   }
 
-  if (!(in >> tok) || tok != "balls") {
+  if (!in.ReadWord(&tok) || tok != "balls") {
     return Status::InvalidArgument("expected 'balls' section");
   }
   // The remainder of the body (from the next line on) is an embedded
   // gbx-granular-balls document; hand it to the gb_io parser whole.
-  std::string line_rest;
-  std::getline(in, line_rest);
-  const std::streampos pos = in.tellg();
-  if (pos < 0) return Status::InvalidArgument("truncated balls section");
+  const std::size_t eol = body.find('\n', in.pos());
+  if (eol == std::string_view::npos) {
+    return Status::InvalidArgument("truncated balls section");
+  }
   StatusOr<GranularBallSet> balls =
-      GranularBallsFromString(body.substr(static_cast<std::size_t>(pos)));
+      GranularBallsFromString(body.substr(eol + 1));
   if (!balls.ok()) {
     return Status(balls.status().code(),
                   "embedded ball set: " + balls.status().message());
@@ -286,10 +291,12 @@ StatusOr<LoadedModel> ParseGbKnn(std::istringstream& in,
   int k = 0, rho = 0;
   std::uint64_t seed = 0;
   {
-    std::istringstream cfg(config_line);
-    std::string c, kk, kr, ks;
-    if (!(cfg >> c >> kk >> k >> kr >> rho >> ks >> seed) || kk != "k" ||
-        kr != "rho" || ks != "seed" || k < 1 || rho < 1) {
+    NumScanner cfg(config_line);
+    std::string_view c, kk, kr, ks;
+    if (!(cfg.ReadWord(&c) && cfg.ReadWord(&kk) && cfg.ReadInt(&k) &&
+          cfg.ReadWord(&kr) && cfg.ReadInt(&rho) && cfg.ReadWord(&ks) &&
+          cfg.ReadUint64(&seed)) ||
+        kk != "k" || kr != "rho" || ks != "seed" || k < 1 || rho < 1) {
       return Status::InvalidArgument("bad gb-knn config line");
     }
   }
@@ -306,19 +313,18 @@ StatusOr<LoadedModel> ParseGbKnn(std::istringstream& in,
   model.kind = "gb-knn";
   model.dims = dims;
   model.num_classes = classes;
-  model.config = config_line;
+  model.config = std::string(config_line);
   model.feature_mins = std::move(mins);
   model.feature_maxs = std::move(maxs);
   return model;
 }
 
-StatusOr<LoadedModel> ParseKnn(std::istringstream& in,
-                               const std::string& body,
-                               const std::string& config_line, int classes,
+StatusOr<LoadedModel> ParseKnn(NumScanner& in, std::string_view body,
+                               std::string_view config_line, int classes,
                                int dims) {
-  std::string tok;
+  std::string_view tok;
   int n = 0;
-  if (!(in >> tok >> n) || tok != "data" || n < 1) {
+  if (!(in.ReadWord(&tok) && in.ReadInt(&n)) || tok != "data" || n < 1) {
     return Status::InvalidArgument("expected 'data <n>' section with n >= 1");
   }
   // Every value needs at least two input bytes; reject headers that
@@ -331,7 +337,7 @@ StatusOr<LoadedModel> ParseKnn(std::istringstream& in,
   std::vector<int> y(n);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < dims; ++j) {
-      if (!(in >> x.At(i, j))) {
+      if (!in.ReadDouble(&x.At(i, j))) {
         return Status::InvalidArgument("truncated training row " +
                                        std::to_string(i));
       }
@@ -340,7 +346,7 @@ StatusOr<LoadedModel> ParseKnn(std::istringstream& in,
                                        std::to_string(i));
       }
     }
-    if (!(in >> y[i])) {
+    if (!in.ReadInt(&y[i])) {
       return Status::InvalidArgument("truncated label in row " +
                                      std::to_string(i));
     }
@@ -349,15 +355,16 @@ StatusOr<LoadedModel> ParseKnn(std::istringstream& in,
                                 std::to_string(i));
     }
   }
-  if (in >> tok) {
+  if (!in.AtEnd()) {
     return Status::InvalidArgument("trailing data after training rows");
   }
 
   int k = 0;
   {
-    std::istringstream cfg(config_line);
-    std::string c, kk;
-    if (!(cfg >> c >> kk >> k) || kk != "k" || k < 1) {
+    NumScanner cfg(config_line);
+    std::string_view c, kk;
+    if (!(cfg.ReadWord(&c) && cfg.ReadWord(&kk) && cfg.ReadInt(&k)) ||
+        kk != "k" || k < 1) {
       return Status::InvalidArgument("bad knn config line");
     }
   }
@@ -377,13 +384,13 @@ StatusOr<LoadedModel> ParseKnn(std::istringstream& in,
   model.kind = "knn";
   model.dims = dims;
   model.num_classes = classes;
-  model.config = config_line;
+  model.config = std::string(config_line);
   return model;
 }
 
 }  // namespace
 
-std::uint64_t Fnv1a64(const std::string& bytes) {
+std::uint64_t Fnv1a64(std::string_view bytes) {
   std::uint64_t h = 1469598103934665603ull;
   for (unsigned char c : bytes) {
     h ^= c;
@@ -395,44 +402,57 @@ std::uint64_t Fnv1a64(const std::string& bytes) {
 std::string ModelToString(const GbKnnClassifier& model) {
   GBX_CHECK_MSG(model.fitted(),
                 "GB-kNN: ModelToString called before Fit/Restore");
-  std::ostringstream out;
-  out.precision(17);
-  const int dims = model.balls().scaled_features().cols();
-  out << kMagic << "\n";
-  out << "classifier gb-knn\n";
-  out << "config k " << model.k() << " rho "
-      << model.config().density_tolerance << " seed "
-      << model.effective_seed() << "\n";
-  out << "classes " << model.num_classes() << " dims " << dims << "\n";
-  out << "scaler minmax\n";
-  WriteVector(out, model.scaler().mins());
-  WriteVector(out, model.scaler().maxs());
-  out << "balls\n";
-  out << GranularBallsToString(model.balls());
-  std::string body = out.str();
-  return body + ChecksumLine(body);
+  const std::string balls = GranularBallsToString(model.balls());
+  std::string out;
+  out.reserve(balls.size() + 64 * model.scaler().mins().size() + 256);
+  out += kMagic;
+  out += "\nclassifier gb-knn\nconfig k ";
+  AppendInt(model.k(), &out);
+  out += " rho ";
+  AppendInt(model.config().density_tolerance, &out);
+  out += " seed ";
+  AppendInt(model.effective_seed(), &out);
+  out += "\nclasses ";
+  AppendInt(model.num_classes(), &out);
+  out += " dims ";
+  AppendInt(model.balls().scaled_features().cols(), &out);
+  out += "\nscaler minmax\n";
+  AppendVector(model.scaler().mins(), &out);
+  AppendVector(model.scaler().maxs(), &out);
+  out += "balls\n";
+  out += balls;
+  AppendChecksumLine(&out);
+  return out;
 }
 
 std::string ModelToString(const KnnClassifier& model) {
   GBX_CHECK_MSG(model.fitted(),
                 "kNN: ModelToString called before Fit/Restore");
-  std::ostringstream out;
-  out.precision(17);
   const Dataset& train = model.train();
-  out << kMagic << "\n";
-  out << "classifier knn\n";
-  out << "config k " << model.k() << "\n";
-  out << "classes " << train.num_classes() << " dims "
-      << train.num_features() << "\n";
-  out << "data " << train.size() << "\n";
+  std::string out;
+  out.reserve(static_cast<std::size_t>(train.size()) *
+                  (static_cast<std::size_t>(train.num_features()) * 20 + 4) +
+              256);
+  out += kMagic;
+  out += "\nclassifier knn\nconfig k ";
+  AppendInt(model.k(), &out);
+  out += "\nclasses ";
+  AppendInt(train.num_classes(), &out);
+  out += " dims ";
+  AppendInt(train.num_features(), &out);
+  out += "\ndata ";
+  AppendInt(train.size(), &out);
+  out += '\n';
   for (int i = 0; i < train.size(); ++i) {
     for (int j = 0; j < train.num_features(); ++j) {
-      out << train.feature(i, j) << " ";
+      AppendDouble(train.feature(i, j), &out);
+      out += ' ';
     }
-    out << train.label(i) << "\n";
+    AppendInt(train.label(i), &out);
+    out += '\n';
   }
-  std::string body = out.str();
-  return body + ChecksumLine(body);
+  AppendChecksumLine(&out);
+  return out;
 }
 
 Status SaveModel(const GbKnnClassifier& model, const std::string& path) {
@@ -462,32 +482,33 @@ Status SaveModel(const Classifier& model, const std::string& path) {
   return status;
 }
 
-StatusOr<LoadedModel> ModelFromString(const std::string& text) {
-  StatusOr<std::string> body = VerifyChecksum(text);
+StatusOr<LoadedModel> ModelFromString(std::string_view text) {
+  std::uint64_t checksum = 0;
+  StatusOr<std::string_view> body = VerifyChecksum(text, &checksum);
   if (!body.ok()) return body.status();
 
-  std::istringstream in(*body);
-  std::string line;
-  if (!std::getline(in, line) || line != kMagic) {
+  NumScanner in(*body);
+  std::string_view line;
+  if (!in.ReadLine(&line) || line != kMagic) {
     return Status::InvalidArgument("bad magic line");
   }
-  std::string tok, kind;
-  if (!(in >> tok >> kind) || tok != "classifier") {
+  std::string_view tok, kind;
+  if (!(in.ReadWord(&tok) && in.ReadWord(&kind)) || tok != "classifier") {
     return Status::InvalidArgument("missing classifier line");
   }
-  std::getline(in, line);  // consume the rest of the classifier line
+  in.ReadLine(&line);  // consume the rest of the classifier line
 
-  std::string config_line;
-  if (!std::getline(in, config_line) ||
-      config_line.rfind("config ", 0) != 0) {
+  std::string_view config_line;
+  if (!in.ReadLine(&config_line) || !config_line.starts_with("config ")) {
     return Status::InvalidArgument("missing config line");
   }
 
   int classes = 0, dims = 0;
   {
-    std::string k1, k2;
-    if (!(in >> k1 >> classes >> k2 >> dims) || k1 != "classes" ||
-        k2 != "dims" || classes < 1 || dims < 1) {
+    std::string_view k1, k2;
+    if (!(in.ReadWord(&k1) && in.ReadInt(&classes) && in.ReadWord(&k2) &&
+          in.ReadInt(&dims)) ||
+        k1 != "classes" || k2 != "dims" || classes < 1 || dims < 1) {
       return Status::InvalidArgument("bad classes/dims line");
     }
   }
@@ -496,8 +517,8 @@ StatusOr<LoadedModel> ModelFromString(const std::string& text) {
       : kind == "knn"
           ? ParseKnn(in, *body, config_line, classes, dims)
           : StatusOr<LoadedModel>(Status::InvalidArgument(
-                "unknown classifier kind '" + kind + "'"));
-  if (model.ok()) model->checksum = Fnv1a64(*body);
+                "unknown classifier kind '" + std::string(kind) + "'"));
+  if (model.ok()) model->checksum = checksum;
   return model;
 }
 
@@ -507,12 +528,16 @@ StatusOr<LoadedModel> LoadModel(const std::string& path) {
     RecordIoFailure("load", status);
     return status;
   };
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return fail(Status::NotFound("cannot open " + path));
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return fail(Status::Internal("read error on " + path));
-  StatusOr<LoadedModel> model = ModelFromString(buffer.str());
+  const std::streamoff size = in.tellg();
+  std::string text(size > 0 ? static_cast<std::size_t>(size) : 0, '\0');
+  in.seekg(0);
+  if (size < 0 ||
+      !in.read(text.data(), static_cast<std::streamsize>(text.size()))) {
+    return fail(Status::Internal("read error on " + path));
+  }
+  StatusOr<LoadedModel> model = ModelFromString(text);
   if (!model.ok()) return fail(model.status());
   return model;
 }

@@ -22,10 +22,18 @@
 //   --- both ---
 //   checksum fnv1a <16 hex digits>     # FNV-1a 64 over every prior byte
 //
-// All numeric fields are written with 17 significant digits, so doubles
+// Numbers go through common/num_text.h. Every double is written as the
+// exact bytes of printf("%.17g") — 17 significant digits, so doubles
 // round-trip losslessly and a loaded model's PredictBatch output is
 // bit-identical to the fitted model it was saved from (enforced by
-// tests/serve_test.cc).
+// tests/serve_test.cc). Shortest round-trip output would be smaller and
+// just as lossless, but the checksum covers the bytes: it would give
+// every existing model a new checksum (the version id clients pin), so
+// the %.17g bytes are part of the format; tests/data holds artifacts
+// that must re-save byte for byte. Integers are plain decimal. Reading
+// takes numbers as `std::istream >>` does: decimal tokens
+// [+-] digits [. digits] [(e|E) [+-] digits], no hex, "inf" or "nan",
+// overflow rejected, any whitespace between tokens.
 //
 // Loading treats the artifact as untrusted input, mirroring gb_io.h:
 // truncation, a corrupted byte (checksum mismatch), non-finite values,
@@ -54,6 +62,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -98,15 +107,17 @@ Status SaveModel(const GbKnnClassifier& model, const std::string& path);
 Status SaveModel(const KnnClassifier& model, const std::string& path);
 Status SaveModel(const Classifier& model, const std::string& path);
 
-/// Parses an artifact produced by ModelToString / SaveModel.
-StatusOr<LoadedModel> ModelFromString(const std::string& text);
+/// Parses an artifact produced by ModelToString / SaveModel. The result
+/// holds no reference into `text`.
+StatusOr<LoadedModel> ModelFromString(std::string_view text);
 
-/// Reads an artifact written by SaveModel.
+/// Reads an artifact written by SaveModel: one read into memory, one
+/// checksum pass, one parse pass.
 StatusOr<LoadedModel> LoadModel(const std::string& path);
 
 /// FNV-1a 64-bit hash, the artifact checksum primitive (exposed for
 /// tests).
-std::uint64_t Fnv1a64(const std::string& bytes);
+std::uint64_t Fnv1a64(std::string_view bytes);
 
 }  // namespace gbx
 

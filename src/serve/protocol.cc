@@ -8,11 +8,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+
+#include "common/num_text.h"
 
 namespace gbx {
 
@@ -97,24 +98,26 @@ Status ParsePredictPayload(std::string_view payload, std::string* model,
   model->clear();
   if (timeout_ms != nullptr) *timeout_ms = 0.0;
   query->clear();
-  std::string line(payload);
+  std::string_view line = payload;
   if (!line.empty() && line[0] == '@') {
     const std::size_t sep = line.find_first_of(" \t,");
-    if (sep == std::string::npos || sep == 1) {
+    if (sep == std::string_view::npos || sep == 1) {
       return Status::InvalidArgument(
           "malformed @model prefix (want '@name <features>')");
     }
-    *model = line.substr(1, sep - 1);
-    line.erase(0, sep + 1);
+    model->assign(line.substr(1, sep - 1));
+    line.remove_prefix(sep + 1);
   }
   constexpr std::string_view kTimeoutKey = "timeout_ms=";
-  while (!line.empty() && (line[0] == ' ' || line[0] == '\t')) line.erase(0, 1);
-  if (line.compare(0, kTimeoutKey.size(), kTimeoutKey) == 0) {
+  line.remove_prefix(std::min(line.find_first_not_of(" \t"), line.size()));
+  if (line.starts_with(kTimeoutKey)) {
     const std::size_t sep = line.find_first_of(" \t,", kTimeoutKey.size());
-    const std::string value =
-        line.substr(kTimeoutKey.size(), sep == std::string::npos
-                                            ? std::string::npos
-                                            : sep - kTimeoutKey.size());
+    // The deadline keeps its strtod grammar (which also takes "inf" and
+    // hex), so it parses from a copy of just this field.
+    const std::string value(line.substr(
+        kTimeoutKey.size(), sep == std::string_view::npos
+                                ? std::string_view::npos
+                                : sep - kTimeoutKey.size()));
     char* end = nullptr;
     errno = 0;
     const double t = std::strtod(value.c_str(), &end);
@@ -125,19 +128,15 @@ Status ParsePredictPayload(std::string_view payload, std::string* model,
           "' (want a positive number of milliseconds)");
     }
     if (timeout_ms != nullptr) *timeout_ms = t;
-    if (sep == std::string::npos) {
+    if (sep == std::string_view::npos) {
       return Status::InvalidArgument("query payload has no features");
     }
-    line.erase(0, sep + 1);
+    line.remove_prefix(sep + 1);
   }
-  for (char& c : line) {
-    if (c == ',' || c == '\t') c = ' ';
-  }
-  std::istringstream fields(line);
+  NumScanner fields(line, NumScanner::kCommaIsBlank);
   double v = 0.0;
-  while (fields >> v) query->push_back(v);
-  std::string rest;
-  if (fields.bad() || (fields.clear(), fields >> rest)) {
+  while (fields.ReadDouble(&v)) query->push_back(v);
+  if (!fields.AtEnd()) {
     return Status::InvalidArgument("unparseable query payload");
   }
   if (query->empty()) {
@@ -149,19 +148,20 @@ Status ParsePredictPayload(std::string_view payload, std::string* model,
 std::string FormatPredictPayload(std::string_view model, const double* x,
                                  int dims, double timeout_ms) {
   std::string out;
+  out.reserve(model.size() + 40 + static_cast<std::size_t>(dims) * 25);
   if (!model.empty()) {
     out += '@';
     out += model;
     out += ' ';
   }
-  char buf[40];
   if (timeout_ms > 0.0) {
-    std::snprintf(buf, sizeof(buf), "timeout_ms=%.17g ", timeout_ms);
-    out += buf;
+    out += "timeout_ms=";
+    AppendDouble(timeout_ms, &out);
+    out += ' ';
   }
   for (int j = 0; j < dims; ++j) {
-    std::snprintf(buf, sizeof(buf), "%s%.17g", j > 0 ? "," : "", x[j]);
-    out += buf;
+    if (j > 0) out += ',';
+    AppendDouble(x[j], &out);
   }
   return out;
 }

@@ -83,6 +83,26 @@
 //                                       in queue; DATA_LOSS when !swap
 //                                       hit a corrupt artifact.
 //
+// Numbers in a predict payload (common/num_text.h). A feature is a
+// decimal token as `std::istream >> double` reads it:
+//
+//   [+-] digits [. digits] [(e|E) [+-] digits]
+//
+// Hex floats, "inf" and "nan" are rejected, an overflowing exponent
+// ("1e999") is rejected, and an underflow reads as the nearest double.
+// Commas and whitespace separate features, and none is needed between
+// two tokens ("0.5-3" is two features). The parse is one linear pass
+// over the payload and copies none of it, so a client cannot make the
+// server spend more than time proportional to the bytes it sent. The
+// "timeout_ms=T" field is read with strtod (it also takes "inf" and hex).
+//
+// FormatPredictPayload writes every feature as the exact bytes of
+// printf("%.17g"): 17 significant digits read back bit-identical, so a
+// socket prediction equals the in-process one. Shortest round-trip
+// output would be lossless too, but it would change the bytes of every
+// query file and, through the same codec, of every model artifact and
+// its checksum (serve/model_io.h), so the %.17g bytes are fixed.
+//
 // A declared length of 0 or more than `max_frame_bytes` is a framing
 // error: the stream cannot be resynchronized, so FrameDecoder reports it
 // sticky (every later Next() fails too).
@@ -140,8 +160,8 @@ class FrameDecoder {
 
 /// Parses a predict payload: an optional "@MODEL" first token, an
 /// optional "timeout_ms=T" token (T a positive number of milliseconds),
-/// then the stdin predict line format (comma/space/tab-separated
-/// doubles). `*model` is empty when no "@" prefix was present;
+/// then the stdin predict line format (comma- or blank-separated
+/// doubles, grammar above). `*model` is empty when no "@" prefix was present;
 /// `*timeout_ms` is 0 when no deadline was requested (pass nullptr to
 /// accept-and-ignore the token). Rejects payloads with no features,
 /// trailing garbage, or a malformed prefix.
@@ -153,10 +173,10 @@ inline Status ParsePredictPayload(std::string_view payload,
   return ParsePredictPayload(payload, model, nullptr, query);
 }
 
-/// Formats one predict payload ("@model timeout_ms=T f1,f2,..."), %.17g
-/// per feature so queries round-trip doubles losslessly — socket
-/// predictions stay bit-identical to the in-process path. Empty `model`
-/// omits the prefix; `timeout_ms <= 0` omits the deadline field.
+/// Formats one predict payload ("@model timeout_ms=T f1,f2,..."), the
+/// bytes of %.17g per feature so queries round-trip doubles losslessly —
+/// socket predictions stay bit-identical to the in-process path. Empty
+/// `model` omits the prefix; `timeout_ms <= 0` omits the deadline field.
 std::string FormatPredictPayload(std::string_view model, const double* x,
                                  int dims, double timeout_ms = 0.0);
 

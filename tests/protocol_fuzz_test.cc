@@ -1,9 +1,10 @@
 // Malformed-input battery for the gbx-wire front-end: truncated length
 // prefixes, oversized declared lengths, garbage payloads, mid-frame
-// disconnects, slow-loris dribbles, and a seeded-RNG mix of all of the
-// above. The server must answer a structured error or close the
-// connection — and keep serving valid clients — but never crash, hang,
-// or leak (this suite runs under the asan CI job).
+// disconnects, slow-loris dribbles, a maximal frame of padding, and a
+// seeded-RNG mix of all of the above. The server must answer a
+// structured error or close the connection — and keep serving valid
+// clients — but never crash, hang, or leak (this suite runs under the
+// asan CI job).
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve_test_util.h"
@@ -136,6 +138,43 @@ TEST_F(ProtocolFuzzTest, WrongArityQueryIsAStructuredError) {
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(payload->rfind("error INVALID_ARGUMENT", 0), 0) << *payload;
   ExpectStillServing();
+}
+
+// A payload is client-controlled, so parsing it must cost time linear in
+// its size: a 1 MiB frame of leading blanks once took ~15 s to parse
+// (each blank was erased from the front of the string in turn).
+std::string BlankPaddedQuery() {
+  const std::string query = "0.5,0.25";
+  return std::string(kDefaultMaxFrameBytes - query.size(), ' ') + query;
+}
+
+TEST(PredictPayloadTest, MiBOfLeadingBlanksParsesInLinearTime) {
+  const std::string payload = BlankPaddedQuery();
+  ASSERT_EQ(payload.size(), kDefaultMaxFrameBytes);
+  std::string model;
+  std::vector<double> query;
+  const Stopwatch watch;
+  const Status parsed = ParsePredictPayload(payload, &model, &query);
+  const double seconds = watch.ElapsedSeconds();
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  EXPECT_TRUE(model.empty());
+  EXPECT_EQ(query, (std::vector<double>{0.5, 0.25}));
+  EXPECT_LT(seconds, 0.5);
+}
+
+TEST_F(ProtocolFuzzTest, MiBOfLeadingBlanksIsServedAndTheWorkerFreed) {
+  ASSERT_EQ(bundle_.split.test.num_features(), 2);
+  TestClient client(server_->port());
+  const StatusOr<std::string> payload = client.Call(BlankPaddedQuery());
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  EXPECT_EQ(payload->rfind("ok ", 0), 0) << payload->substr(0, 200);
+  // The same connection and a fresh one both keep being served.
+  const StatusOr<std::string> next = client.Call(ValidQuery(1));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  const StatusOr<PredictReply> reply = ParsePredictReply(*next);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->label, bundle_.expected[1]);
+  ExpectStillServing(2);
 }
 
 TEST_F(ProtocolFuzzTest, MidFrameDisconnectNeverWedgesTheServer) {

@@ -9,6 +9,7 @@
 // the rest of the serving battery.
 #include <cstdio>
 #include <limits>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
@@ -105,6 +106,69 @@ TEST(ModelIoTest, UnsupportedClassifierIsInvalidArgument) {
 TEST(ModelIoTest, LoadMissingFileIsNotFound) {
   EXPECT_EQ(LoadModel("/no/such/model.gbx").status().code(),
             StatusCode::kNotFound);
+}
+
+// --- model_io: artifacts committed under tests/data ---
+//
+// Written by `gbx_serve train --dataset S5 --max-samples 400 --seed 7`
+// (with `--model knn --k 3` for the kNN one) before number text moved
+// from iostreams to common/num_text.h, together with the holdout queries
+// and the labels the fitted models gave them. Old artifacts must keep
+// loading, predicting the same labels, and saving back byte for byte —
+// so the checksum a server tags its replies with never changes.
+
+std::string ReadTestData(const std::string& name) {
+  const std::string path = std::string(GBX_TEST_DATA_DIR) + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return "";
+  std::string bytes;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+TEST(ModelIoTest, CommittedArtifactsLoadPredictAndResaveByteIdentical) {
+  const std::string queries = ReadTestData("s5_queries.csv");
+  ASSERT_FALSE(queries.empty());
+  Matrix x(0, 2);
+  std::istringstream lines(queries);
+  for (std::string line; std::getline(lines, line);) {
+    std::string model_name;
+    std::vector<double> row;
+    ASSERT_TRUE(ParsePredictPayload(line, &model_name, &row).ok()) << line;
+    ASSERT_EQ(row.size(), 2u);
+    x.AppendRow(row.data(), 2);
+  }
+  ASSERT_EQ(x.rows(), 119);
+
+  const struct {
+    const char* kind;
+    std::uint64_t checksum;
+  } fixtures[] = {{"gbknn", 0xfdd611a6db2ec3e8ull},
+                  {"knn", 0xde40e38fdd209367ull}};
+  for (const auto& fixture : fixtures) {
+    const std::string stem = std::string("s5_") + fixture.kind + "_v1";
+    const std::string text = ReadTestData(stem + ".gbxm");
+    const StatusOr<LoadedModel> loaded =
+        LoadModel(std::string(GBX_TEST_DATA_DIR) + "/" + stem + ".gbxm");
+    ASSERT_TRUE(loaded.ok()) << stem << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded->checksum, fixture.checksum) << stem;
+
+    std::string expected;
+    for (const int label : loaded->classifier->PredictBatch(x)) {
+      expected += std::to_string(label) + "\n";
+    }
+    EXPECT_EQ(expected, ReadTestData(stem + ".expected")) << stem;
+
+    const Classifier& model = *loaded->classifier;
+    const std::string resaved =
+        loaded->kind == "gb-knn"
+            ? ModelToString(dynamic_cast<const GbKnnClassifier&>(model))
+            : ModelToString(dynamic_cast<const KnnClassifier&>(model));
+    EXPECT_TRUE(resaved == text) << stem << " re-saved differently";
+  }
 }
 
 // --- model_io: strict validation ---
