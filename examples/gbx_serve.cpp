@@ -84,7 +84,6 @@ struct Args {
   std::string host = "127.0.0.1";
   int workers = 0;  // <= 0: GBX_THREADS / hardware
   std::vector<std::string> registers;  // repeated --register name=path
-  bool poll = false;
   double idle_timeout_ms = 0.0;
   long max_queue = -1;     // < 0: ServerOptions default; 0 disables
   long max_inflight = -1;  // per-connection cap; same convention
@@ -119,7 +118,7 @@ int Usage() {
       "                    [--batch N] [--delay-ms X] [--seed N]\n"
       "  gbx_serve serve   --port N [--host H] [--model-file FILE]\n"
       "                    [--register NAME=PATH]... [--workers N]\n"
-      "                    [--batch N] [--delay-ms X] [--poll]\n"
+      "                    [--batch N] [--delay-ms X]\n"
       "                    [--idle-timeout-ms X] [--max-queue N]\n"
       "                    [--max-inflight N]   (overload shed caps; 0 = off)\n"
       "                    [--metrics-dump-sec N]  (periodic Prometheus dump\n"
@@ -148,8 +147,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     const char* v = nullptr;
     if (flag == "--stats") {
       args->stats = true;
-    } else if (flag == "--poll") {
-      args->poll = true;
     } else if (!(v = next())) {
       std::fprintf(stderr, "gbx_serve: %s needs a value\n", flag.c_str());
       return false;
@@ -556,7 +553,6 @@ int RunServe(const Args& args) {
   sopts.host = args.host;
   sopts.port = args.port;
   sopts.num_workers = args.workers;
-  sopts.force_poll = args.poll;
   sopts.idle_timeout_ms = args.idle_timeout_ms;
   if (args.max_queue >= 0) {
     sopts.max_queue_depth = static_cast<std::size_t>(args.max_queue);

@@ -116,7 +116,7 @@
 // serve/ — model serving: versioned trained-model artifacts (gbx-model
 // v1 save/load with bit-identical predictions), the micro-batching
 // InferenceEngine, and the network front-end — gbx-wire framing, the
-// hot-swappable ModelRegistry, and the epoll/poll Server behind
+// hot-swappable ModelRegistry, and the poll(2) Server behind
 // `gbx_serve serve` and gbx_loadgen.
 #include "serve/engine.h"     // IWYU pragma: export
 #include "serve/model_io.h"   // IWYU pragma: export

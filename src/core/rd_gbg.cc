@@ -202,7 +202,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   // (kSurfaceIndexNever = stay flat). Both compute the identical
   // min-gap double, so the switch is invisible in the output.
   const int surface_threshold =
-      ResolveRdGbgSurfaceThreshold(config.index_strategy, p, threads);
+      ResolveRdGbgSurfaceThreshold(config.index_strategy, threads);
   std::unique_ptr<BallSurfaceIndex> surface;
   std::vector<int> removed_now;  // U-departures of the current candidate
   const std::size_t initial_block =
@@ -286,12 +286,22 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
         // --- Radius determination (§IV-B2). ---
         // Locally consistent radius CR(c): farthest of the leading
-        // homogeneous neighbors (Eq.3). If no heterogeneous sample
-        // remains in U, the whole neighbor list is consistent.
+        // homogeneous neighbors strictly closer than the first
+        // heterogeneous one (Eq.3) — a homogeneous neighbor tied with it
+        // cannot bound a ball without admitting it. below2 trails cr2
+        // as the largest strictly smaller homogeneous distance. If no
+        // heterogeneous sample remains in U, the whole neighbor list is
+        // consistent.
         double cr2 = 0.0;
+        double below2 = 0.0;
         for (std::size_t i = scan_begin; i < neighbors.size(); ++i) {
-          if (labels[neighbors[i].index] != label) break;
-          cr2 = neighbors[i].dist2;
+          const double d2 = neighbors[i].dist2;
+          if (labels[neighbors[i].index] != label) {
+            if (d2 == cr2) cr2 = below2;
+            break;
+          }
+          if (d2 > cr2) below2 = cr2;
+          cr2 = d2;
         }
 
         // Conflict radius r_conf(c): gap to the nearest existing ball

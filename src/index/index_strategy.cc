@@ -163,9 +163,7 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
   return IndexStrategy::kFlat;
 }
 
-int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int dims,
-                                 int num_threads) {
-  (void)dims;  // measured crossover is d-independent on the tested grid
+int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int num_threads) {
   switch (requested) {
     case IndexStrategy::kFlat:
       return kSurfaceIndexNever;
@@ -182,7 +180,6 @@ int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int dims,
 
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
                                          int num_balls, int dims,
-                                         int num_threads,
                                          const Matrix* centers) {
   if (requested != IndexStrategy::kAuto) return requested;
   // Thread-awareness, re-measured under GBX_THREADS ∈ {1, 4, 8}
@@ -192,11 +189,7 @@ IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
   // every strategy, so the tree's margin (2.3× at 15.6k balls, d=10)
   // is invariant in the worker count and the entry bar must NOT rise
   // with it (a ×threads bar measurably hands kAuto a 2× loss at
-  // GBX_THREADS=4 on that grid). num_threads is part of the contract
-  // so a future single-query-latency tier — where Predict's parallel
-  // score fill does shift the crossover — can use it without another
-  // signature change.
-  (void)num_threads;
+  // GBX_THREADS=4 on that grid).
   if (num_balls < kCenterTreeMinBalls) return IndexStrategy::kFlat;
   if (dims <= kCenterTreeMaxDims) return IndexStrategy::kTree;
   if (dims <= kCenterBallTreeMaxDims && centers != nullptr &&

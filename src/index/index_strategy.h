@@ -80,9 +80,9 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
 /// through the index); kAuto switches once enough balls have accumulated
 /// that the index's sublinear query beats the parallelized O(B) scan —
 /// sooner on one worker than on many, since the flat scan parallelizes
-/// and an index query is serial.
-int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int dims,
-                                 int num_threads);
+/// and an index query is serial. The measured crossover is
+/// d-independent on the tested grid, so the dimension does not enter.
+int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int num_threads);
 inline constexpr int kSurfaceIndexNever = 0x7fffffff;
 
 /// Resolution for GB-kNN's per-query scan over ball centers
@@ -93,15 +93,13 @@ inline constexpr int kSurfaceIndexNever = 0x7fffffff;
 /// the regime where its triangle-inequality pruning still bites
 /// (measured 2.1–2.3× over the flat scan at d=24/32 on rotated
 /// informative-subspace centers, ahead of the KD-tree) while on
-/// isotropic centers every tree loses there. `num_threads` is the
-/// resolved worker count; re-measured under GBX_THREADS ∈ {1,4,8} the
-/// crossover is thread-invariant — batch prediction parallelizes over
-/// queries for every strategy — so unlike the RD-GBG resolver the bars
-/// do not scale with it (rationale in index_strategy.cc). Crossovers
-/// measured by bench_index_dynamic.
+/// isotropic centers every tree loses there. Re-measured under
+/// GBX_THREADS ∈ {1,4,8} the crossover is thread-invariant — batch
+/// prediction parallelizes over queries for every strategy — so unlike
+/// the RD-GBG resolver it takes no worker count (rationale in
+/// index_strategy.cc). Crossovers measured by bench_index_dynamic.
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
                                          int num_balls, int dims,
-                                         int num_threads,
                                          const Matrix* centers = nullptr);
 
 /// True when ResolveCenterIndexStrategy(kAuto, num_balls, dims, ...)

@@ -121,7 +121,6 @@ void GbKnnClassifier::RebuildCenterIndex() {
   if (!fitted()) return;
   const int m = balls_.size();
   const int p = balls_.scaled_features().cols();
-  const int threads = ResolveNumThreads(gbg_config_.num_threads);
   const auto materialize = [&](Matrix* centers, std::vector<double>* radii) {
     *centers = Matrix(m, p);
     radii->resize(m);
@@ -141,10 +140,9 @@ void GbKnnClassifier::RebuildCenterIndex() {
       CenterResolutionWantsCenters(m, p)) {
     materialize(&centers, &radii);
     backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p,
-                                         threads, &centers);
+                                         &centers);
   } else {
-    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p,
-                                         threads);
+    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p);
     if (backend == IndexStrategy::kTree ||
         backend == IndexStrategy::kBallTree) {
       materialize(&centers, &radii);

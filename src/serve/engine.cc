@@ -25,7 +25,6 @@ InferenceEngine::InferenceEngine(LoadedModel model,
                 "InferenceEngine needs a loaded classifier");
   GBX_CHECK_GT(model_.dims, 0);
   options_.max_batch_size = std::max(1, options_.max_batch_size);
-  options_.latency_window = std::max(1, options_.latency_window);
   gbknn_ = dynamic_cast<const GbKnnClassifier*>(model_.classifier.get());
   auto& reg = metrics::MetricsRegistry::Default();
   m_requests_ = reg.GetCounter("gbx_engine_requests_total", {},

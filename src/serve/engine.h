@@ -48,10 +48,6 @@ struct InferenceEngineOptions {
   /// partial batch. 0 disables coalescing (every request dispatches
   /// immediately).
   double max_batch_delay_ms = 0.2;
-  /// Deprecated: the percentile window was replaced by a fixed-bucket
-  /// histogram (common/metrics.h); the field is kept so existing
-  /// construction sites keep compiling. Ignored.
-  int latency_window = 1 << 14;
 };
 
 /// Per-request latency attribution filled in by Predict() when the

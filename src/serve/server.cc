@@ -7,9 +7,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -48,35 +45,24 @@ struct PollEvent {
   bool error = false;
 };
 
-/// Readiness backend: which fds are ready, level-triggered. The server
-/// asks for readability on every registered fd and toggles write
-/// interest per connection as output queues up.
+/// Readiness over poll(2), level-triggered: which registered fds are
+/// ready. The server asks for readability on every registered fd and
+/// toggles write interest per connection as output queues up; the class
+/// keeps the pollfd array and its fd -> slot index in step.
 class Poller {
  public:
-  virtual ~Poller() = default;
-  virtual void Add(int fd, bool want_write) = 0;
-  virtual void Update(int fd, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Appends ready events to *out. timeout_ms < 0 blocks indefinitely.
-  virtual void Wait(int timeout_ms, std::vector<PollEvent>* out) = 0;
-};
-
-/// Portable poll(2) backend — the fallback on non-Linux builds and the
-/// ServerOptions::force_poll test path.
-class PollPoller : public Poller {
- public:
-  void Add(int fd, bool want_write) override {
+  void Add(int fd, bool want_write) {
     index_[fd] = fds_.size();
     fds_.push_back({fd, WantedEvents(want_write), 0});
   }
 
-  void Update(int fd, bool want_write) override {
+  void Update(int fd, bool want_write) {
     const auto it = index_.find(fd);
     GBX_CHECK(it != index_.end());
     fds_[it->second].events = WantedEvents(want_write);
   }
 
-  void Remove(int fd) override {
+  void Remove(int fd) {
     const auto it = index_.find(fd);
     GBX_CHECK(it != index_.end());
     const std::size_t pos = it->second;
@@ -88,7 +74,8 @@ class PollPoller : public Poller {
     fds_.pop_back();
   }
 
-  void Wait(int timeout_ms, std::vector<PollEvent>* out) override {
+  /// Appends ready events to *out. timeout_ms < 0 blocks indefinitely.
+  void Wait(int timeout_ms, std::vector<PollEvent>* out) {
     // Retry EINTR here (not in the caller): a signal mid-wait must not
     // be mistaken for "no events". "server.poll.eintr" simulates the
     // interruption (arm with :every(K>=2) — every(1) never stops).
@@ -121,56 +108,6 @@ class PollPoller : public Poller {
   std::vector<pollfd> fds_;
   std::unordered_map<int, std::size_t> index_;
 };
-
-#ifdef __linux__
-class EpollPoller : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
-    GBX_CHECK_MSG(epfd_ >= 0, "epoll_create1 failed");
-  }
-  ~EpollPoller() override { ::close(epfd_); }
-
-  void Add(int fd, bool want_write) override { Ctl(EPOLL_CTL_ADD, fd, want_write); }
-  void Update(int fd, bool want_write) override {
-    Ctl(EPOLL_CTL_MOD, fd, want_write);
-  }
-  void Remove(int fd) override {
-    epoll_event ev{};
-    GBX_CHECK(::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev) == 0);
-  }
-
-  void Wait(int timeout_ms, std::vector<PollEvent>* out) override {
-    epoll_event events[64];
-    int n;
-    do {
-      if (GBX_FAILPOINT_EVAL("server.poll.eintr").error()) {
-        errno = EINTR;
-        n = -1;
-        continue;
-      }
-      n = ::epoll_wait(epfd_, events, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    for (int i = 0; i < n; ++i) {
-      PollEvent ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & EPOLLERR) != 0;
-      out->push_back(ev);
-    }
-  }
-
- private:
-  void Ctl(int op, int fd, bool want_write) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    GBX_CHECK(::epoll_ctl(epfd_, op, fd, &ev) == 0);
-  }
-
-  int epfd_;
-};
-#endif  // __linux__
 
 Status ErrnoStatus(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
@@ -302,7 +239,7 @@ struct Server::Impl {
   int listen_fd = -1;
   int wake_r = -1, wake_w = -1;
   int bound_port = 0;
-  std::unique_ptr<Poller> poller;
+  Poller poller;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;       // by fd
   std::unordered_map<std::uint64_t, Connection*> conns_by_id;
   std::uint64_t next_conn_id = 1;
@@ -506,17 +443,8 @@ struct Server::Impl {
     SetNonBlocking(wake_r);
     SetNonBlocking(wake_w);
 
-#ifdef __linux__
-    if (opts.force_poll) {
-      poller = std::make_unique<PollPoller>();
-    } else {
-      poller = std::make_unique<EpollPoller>();
-    }
-#else
-    poller = std::make_unique<PollPoller>();
-#endif
-    poller->Add(listen_fd, false);
-    poller->Add(wake_r, false);
+    poller.Add(listen_fd, false);
+    poller.Add(wake_r, false);
 
     // Per-server stats = registry totals minus this baseline.
     baseline.connections_accepted = m_accepted->Value();
@@ -602,7 +530,7 @@ struct Server::Impl {
       ::close(listen_fd);
       listen_fd = -1;
     }
-    poller.reset();
+    poller = Poller();
   }
 
   void CloseStartupFds() {
@@ -628,7 +556,7 @@ struct Server::Impl {
     double drain_deadline_s = -1.0;
     for (;;) {
       events.clear();
-      poller->Wait(WaitTimeoutMs(drain_deadline_s >= 0), &events);
+      poller.Wait(WaitTimeoutMs(drain_deadline_s >= 0), &events);
       const double now_s = clock.ElapsedSeconds();
       for (const PollEvent& ev : events) {
         if (ev.fd == listen_fd && listen_fd >= 0) {
@@ -646,7 +574,7 @@ struct Server::Impl {
         if (drain_deadline_s < 0) {
           // Stop accepting; keep serving until in-flight work drains.
           if (listen_fd >= 0) {
-            poller->Remove(listen_fd);
+            poller.Remove(listen_fd);
             ::close(listen_fd);
             listen_fd = -1;
           }
@@ -788,7 +716,7 @@ struct Server::Impl {
       conn->id = next_conn_id++;
       conn->last_progress_s = now_s;
       conns_by_id[conn->id] = conn.get();
-      poller->Add(fd, false);
+      poller.Add(fd, false);
       conns[fd] = std::move(conn);
       m_accepted->Inc();
       g_conns_open->Add(1);
@@ -969,7 +897,7 @@ struct Server::Impl {
       c->out_pos = 0;
       if (c->want_write) {
         c->want_write = false;
-        poller->Update(c->fd, false);
+        poller.Update(c->fd, false);
       }
       const bool finished = c->in_flight == 0 && c->ready.empty();
       if (finished && (c->closing || c->peer_eof)) {
@@ -978,7 +906,7 @@ struct Server::Impl {
       }
     } else if (!c->want_write) {
       c->want_write = true;
-      poller->Update(c->fd, true);
+      poller.Update(c->fd, true);
     }
     return true;
   }
@@ -1003,7 +931,7 @@ struct Server::Impl {
   }
 
   void CloseConn(Connection* c) {
-    poller->Remove(c->fd);
+    poller.Remove(c->fd);
     ::close(c->fd);
     conns_by_id.erase(c->id);
     conns.erase(c->fd);  // destroys *c

@@ -1,6 +1,6 @@
-// Network serving front-end: a single-threaded epoll (poll fallback)
-// event loop speaking gbx-wire v1 (serve/protocol.h) over TCP, in front
-// of a ModelRegistry (serve/registry.h).
+// Network serving front-end: a single-threaded poll(2) event loop
+// speaking gbx-wire v1 (serve/protocol.h) over TCP, in front of a
+// ModelRegistry (serve/registry.h).
 //
 // Architecture — one I/O thread, W predict workers:
 //
@@ -80,9 +80,6 @@ struct ServerOptions {
   /// unflushed response backlog) has made no progress for this long —
   /// the slow-loris guard. 0 disables the sweep.
   double idle_timeout_ms = 0.0;
-  /// Use the poll() backend even where epoll is available (the fallback
-  /// is always used on non-Linux builds).
-  bool force_poll = false;
   /// Route for payloads without an "@model" prefix.
   std::string default_model = "default";
   /// Admin "!swap NAME PATH" loads artifacts from the server's
@@ -196,7 +193,7 @@ class Server {
   ServerStats Stats() const;
 
  private:
-  struct Impl;  // hides the socket/epoll machinery from the header
+  struct Impl;  // hides the socket/poll machinery from the header
   std::unique_ptr<Impl> impl_;
 };
 

@@ -236,45 +236,40 @@ TEST_F(ChaosTest, EintrStormAcrossAllSyscallSitesServesCorrectly) {
   const Dataset& test = bundle.split.test;
   const int n = std::min(test.size(), 40);
 
-  for (const bool force_poll : {false, true}) {
-    SCOPED_TRACE(force_poll ? "poll backend" : "epoll backend");
-    auto registry = std::make_shared<ModelRegistry>(SmallBatchOptions());
-    ASSERT_TRUE(
-        registry->Publish("default", servetest::LoadBundle(bundle)).ok());
-    ServerOptions opts;
-    opts.force_poll = force_poll;
-    Server server(registry, opts);
+  auto registry = std::make_shared<ModelRegistry>(SmallBatchOptions());
+  ASSERT_TRUE(
+      registry->Publish("default", servetest::LoadBundle(bundle)).ok());
+  Server server(registry);
 
-    // every(K >= 2), never every(1): the retry loops re-evaluate the
-    // site, so a site that fires on every evaluation would livelock.
-    Failpoints& fps = Failpoints::Instance();
-    ASSERT_TRUE(fps.Set("server.recv.eintr", "error:every(2)").ok());
-    ASSERT_TRUE(fps.Set("server.send.eintr", "error:every(3)").ok());
-    ASSERT_TRUE(fps.Set("server.accept.eintr", "error:every(2)").ok());
-    ASSERT_TRUE(fps.Set("server.poll.eintr", "error:every(3)").ok());
-    ASSERT_TRUE(server.Start().ok());
+  // every(K >= 2), never every(1): the retry loops re-evaluate the
+  // site, so a site that fires on every evaluation would livelock.
+  Failpoints& fps = Failpoints::Instance();
+  ASSERT_TRUE(fps.Set("server.recv.eintr", "error:every(2)").ok());
+  ASSERT_TRUE(fps.Set("server.send.eintr", "error:every(3)").ok());
+  ASSERT_TRUE(fps.Set("server.accept.eintr", "error:every(2)").ok());
+  ASSERT_TRUE(fps.Set("server.poll.eintr", "error:every(3)").ok());
+  ASSERT_TRUE(server.Start().ok());
 
-    {
-      TestClient client(server.port());
-      for (int i = 0; i < n; ++i) {
-        const StatusOr<std::string> reply = client.Call(
-            FormatPredictPayload("", test.row(i), test.num_features()));
-        ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-        const StatusOr<PredictReply> predict = ParsePredictReply(*reply);
-        ASSERT_TRUE(predict.ok()) << *reply;
-        EXPECT_EQ(predict->label, bundle.expected[i]) << "query " << i;
-        EXPECT_EQ(predict->checksum, bundle.checksum);
-      }
+  {
+    TestClient client(server.port());
+    for (int i = 0; i < n; ++i) {
+      const StatusOr<std::string> reply = client.Call(
+          FormatPredictPayload("", test.row(i), test.num_features()));
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      const StatusOr<PredictReply> predict = ParsePredictReply(*reply);
+      ASSERT_TRUE(predict.ok()) << *reply;
+      EXPECT_EQ(predict->label, bundle.expected[i]) << "query " << i;
+      EXPECT_EQ(predict->checksum, bundle.checksum);
     }
-    server.Stop();
-
-    // The storm must actually have rained on every site.
-    EXPECT_GT(fps.HitCount("server.recv.eintr"), 0);
-    EXPECT_GT(fps.HitCount("server.send.eintr"), 0);
-    EXPECT_GT(fps.HitCount("server.accept.eintr"), 0);
-    EXPECT_GT(fps.HitCount("server.poll.eintr"), 0);
-    fps.ClearAll();
   }
+  server.Stop();
+
+  // The storm must actually have rained on every site.
+  EXPECT_GT(fps.HitCount("server.recv.eintr"), 0);
+  EXPECT_GT(fps.HitCount("server.send.eintr"), 0);
+  EXPECT_GT(fps.HitCount("server.accept.eintr"), 0);
+  EXPECT_GT(fps.HitCount("server.poll.eintr"), 0);
+  fps.ClearAll();
 }
 
 // --- overload control and deadlines ----------------------------------

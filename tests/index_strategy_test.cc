@@ -136,55 +136,48 @@ TEST(ResolveRdGbgTest, StructureGateEngagesOnlyOnLowEffectiveDimension) {
 TEST(ResolveSurfaceThresholdTest, PerStrategySemantics) {
   // kFlat never switches, explicit tree strategies switch immediately —
   // that is what routes the bit-identity suites through the index.
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kFlat, 10, 1),
+  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kFlat, 1),
             kSurfaceIndexNever);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kTree, 10, 8), 0);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kBallTree, 10, 8), 0);
+  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kTree, 8), 0);
+  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kBallTree, 8), 0);
   // kAuto scales with the worker count (the flat scan parallelizes, an
   // index query is serial) and never disables entirely.
-  const int serial = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 10, 1);
-  const int pool = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 10, 8);
+  const int serial = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 1);
+  const int pool = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 8);
   EXPECT_GT(serial, 0);
   EXPECT_GE(pool, serial);
   EXPECT_LT(pool, kSurfaceIndexNever);
 }
 
-TEST(ResolveCenterTest, SizeGateIsThreadInvariant) {
-  // Tree from 4096 balls (d<=16) — and, unlike the RD-GBG resolver, at
-  // ANY worker count: batch prediction parallelizes over queries for
-  // every strategy, so the measured crossover does not move with
-  // GBX_THREADS (a ×threads bar was measured to hand kAuto a 2× loss
-  // at 4 workers; see index_strategy.cc).
-  for (int threads : {1, 4, 8}) {
-    EXPECT_EQ(
-        ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4096, 10, threads),
-        IndexStrategy::kTree)
-        << "threads=" << threads;
-    EXPECT_EQ(
-        ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4095, 10, threads),
-        IndexStrategy::kFlat)
-        << "threads=" << threads;
-  }
+TEST(ResolveCenterTest, SizeGate) {
+  // Tree from 4096 balls (d<=16). The resolver takes no worker count:
+  // batch prediction parallelizes over queries for every strategy, so
+  // the measured crossover does not move with GBX_THREADS (a ×threads
+  // bar was measured to hand kAuto a 2× loss at 4 workers; see
+  // index_strategy.cc).
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4096, 10),
+            IndexStrategy::kTree);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4095, 10),
+            IndexStrategy::kFlat);
 }
 
 TEST(ResolveCenterTest, BallTreeTierNeedsStructure) {
   const Matrix structured = EmbeddedSubspace(8000, 24, 3, 0.05, 5);
   const Matrix isotropic = IsotropicCloud(8000, 24, 6);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1,
-                                       &structured),
-            IndexStrategy::kBallTree);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1,
-                                       &isotropic),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, 1),
+  EXPECT_EQ(
+      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, &structured),
+      IndexStrategy::kBallTree);
+  EXPECT_EQ(
+      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, &isotropic),
+      IndexStrategy::kFlat);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24),
             IndexStrategy::kFlat);
   // Past d=32 even structure does not rescue tree pruning.
   const Matrix deep = EmbeddedSubspace(8000, 40, 3, 0.05, 7);
-  EXPECT_EQ(
-      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 40, 1, &deep),
-      IndexStrategy::kFlat);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 40, &deep),
+            IndexStrategy::kFlat);
   // Explicit requests pass through untouched.
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kBallTree, 1, 1000, 64),
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kBallTree, 1, 1000),
             IndexStrategy::kBallTree);
 }
 

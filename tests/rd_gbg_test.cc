@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/gb_io.h"
 #include "data/noise.h"
 #include "data/paper_suite.h"
 #include "data/synthetic.h"
+#include "fuzz_dataset.h"
 
 namespace gbx {
 namespace {
@@ -211,6 +213,67 @@ TEST(RdGbgTest, TinyDataset) {
   EXPECT_EQ(result.balls.TotalCoveredSamples() +
                 static_cast<int>(result.noise_indices.size()),
             4);
+}
+
+// Purity under exact distance ties. A homogeneous neighbor tied with
+// the first heterogeneous one cannot bound a ball without admitting it,
+// so CR (Eq.3) stops strictly inside that distance. Checked member by
+// member, because Release compiles ball assembly's DCHECK out, and under
+// every exact strategy, which must also agree bit for bit.
+void ExpectPureUnderEveryExactStrategy(const Dataset& ds,
+                                       std::uint64_t seed) {
+  std::string first;
+  for (IndexStrategy strategy : {IndexStrategy::kFlat, IndexStrategy::kTree,
+                                 IndexStrategy::kBallTree}) {
+    SCOPED_TRACE(IndexStrategyName(strategy));
+    RdGbgConfig cfg;
+    cfg.seed = seed;
+    cfg.index_strategy = strategy;
+    const RdGbgResult result = GenerateRdGbg(ds, cfg);
+    for (const GranularBall& ball : result.balls.balls()) {
+      for (int idx : ball.members) {
+        EXPECT_EQ(ds.label(idx), ball.label)
+            << "ball centered on " << ball.center_index << " holds " << idx;
+      }
+    }
+    std::string text = GranularBallsToString(result.balls) + "noise";
+    for (int idx : result.noise_indices) {
+      text += ' ';
+      text += std::to_string(idx);
+    }
+    if (first.empty()) {
+      first = text;
+    } else {
+      EXPECT_EQ(text, first);
+    }
+  }
+}
+
+TEST(RdGbgTieTest, FuzzInputWithTiedNeighborsStaysPure) {
+  // Candidate 95's nearest neighbor shares its label, and the next one
+  // (sample 94) does not; both sit at dist2 1.2326e-32.
+  ExpectPureUnderEveryExactStrategy(RandomDataset(7001), 7501);
+}
+
+TEST(RdGbgTieTest, HandBuiltExactTieStaysPure) {
+  // Four far-apart triplets on a line: A (class 0) has a class-0
+  // neighbor B at +1 and a class-1 neighbor C at -1. B precedes C in
+  // index order, so from A the tie reads homogeneous-first. The range
+  // is 32, so min-max scaling keeps every distance exact.
+  Matrix x(12, 1);
+  std::vector<int> labels;
+  for (int k = 0; k < 4; ++k) {
+    const double a = 10.0 * k;
+    x.At(3 * k, 0) = a;
+    x.At(3 * k + 1, 0) = a + 1.0;
+    x.At(3 * k + 2, 0) = a - 1.0;
+    labels.insert(labels.end(), {0, 0, 1});
+  }
+  const Dataset ds(std::move(x), std::move(labels));
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectPureUnderEveryExactStrategy(ds, seed);
+  }
 }
 
 TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {

@@ -14,6 +14,7 @@
 #include "core/rd_gbg.h"
 #include "data/csv.h"
 #include "data/synthetic.h"
+#include "fuzz_dataset.h"
 #include "ml/gb_knn.h"
 #include "ml/knn.h"
 #include "serve/model_io.h"
@@ -23,28 +24,6 @@ namespace gbx {
 namespace {
 
 class RoundTripFuzzTest : public ::testing::TestWithParam<int> {};
-
-Dataset RandomDataset(std::uint64_t seed) {
-  Pcg32 rng(seed);
-  const int n = 20 + static_cast<int>(rng.NextBounded(200));
-  const int p = 1 + static_cast<int>(rng.NextBounded(12));
-  const int q = 2 + static_cast<int>(rng.NextBounded(4));
-  Matrix x(n, p);
-  std::vector<int> y(n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < p; ++j) {
-      // Mix of scales and signs, including exact zeros and tiny values.
-      const double magnitude =
-          std::pow(10.0, rng.NextInt(-8, 8)) * rng.NextGaussian();
-      x.At(i, j) = rng.NextBounded(20) == 0 ? 0.0 : magnitude;
-    }
-    y[i] = static_cast<int>(rng.NextBounded(q));
-  }
-  // Ensure at least two classes so downstream code paths stay generic.
-  y[0] = 0;
-  y[1] = 1;
-  return Dataset(std::move(x), std::move(y));
-}
 
 TEST_P(RoundTripFuzzTest, CsvRoundTripIsExact) {
   const Dataset original = RandomDataset(1000 + GetParam());

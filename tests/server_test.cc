@@ -3,9 +3,8 @@
 // in-process InferenceEngine path on every paper-suite dataset,
 // concurrent clients all get correct answers, "@model" routing hits the
 // right registry entry, pipelined responses arrive in request order,
-// the poll() fallback serves identically to epoll, and the admin
-// protocol works. Client/caller counts honor GBX_THREADS via the shared
-// servetest fixture.
+// and the admin protocol works. Client/caller counts honor GBX_THREADS
+// via the shared servetest fixture.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -199,25 +198,6 @@ TEST_F(ServerTest, PipelinedResponsesArriveInRequestOrder) {
     // Out-of-order worker completions must be reordered per connection:
     // response i answers query i, always.
     EXPECT_EQ(reply->label, bundle.expected[i]) << "position " << i;
-  }
-}
-
-TEST_F(ServerTest, PollBackendServesIdentically) {
-  const ModelBundle bundle = MakeGbKnnBundle("S5");
-  ServerOptions opts;
-  opts.force_poll = true;
-  const std::unique_ptr<Server> server =
-      StartServer(OneModelRegistry(bundle), opts);
-  const Dataset& test = bundle.split.test;
-
-  TestClient client(server->port());
-  for (int i = 0; i < std::min(32, test.size()); ++i) {
-    const StatusOr<std::string> payload = client.Call(
-        FormatPredictPayload("", test.row(i), test.num_features()));
-    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-    const StatusOr<PredictReply> reply = ParsePredictReply(*payload);
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply->label, bundle.expected[i]) << "query " << i;
   }
 }
 
