@@ -411,5 +411,13 @@ void ScopedTimerMs::StopAndRecord() {
 
 ScopedTimerMs::~ScopedTimerMs() { StopAndRecord(); }
 
+Histogram* CorePhaseHistogram(const char* phase) {
+  return MetricsRegistry::Default().GetHistogram(
+      "gbx_core_phase_ms", {{"phase", phase}},
+      "Core algorithm phase durations (ms); phases: rdgbg_fit, "
+      "rdgbg_rconf, rdgbg_scan, rdgbg_fallback, gbabs_scan, gbknn_fit, "
+      "gbknn_index_build, gbknn_predict_batch");
+}
+
 }  // namespace metrics
 }  // namespace gbx

@@ -266,6 +266,12 @@ class ScopedTimerMs {
   std::int64_t start_ns_;
 };
 
+/// The gbx_core_phase_ms series of one core algorithm phase: rdgbg_fit,
+/// rdgbg_rconf, rdgbg_scan, rdgbg_fallback, gbabs_scan, gbknn_fit,
+/// gbknn_index_build, gbknn_predict_batch. Registration takes the
+/// registry mutex, so per-call hot paths cache the pointer.
+Histogram* CorePhaseHistogram(const char* phase);
+
 }  // namespace metrics
 }  // namespace gbx
 

@@ -1,8 +1,11 @@
 #include "core/gbabs.h"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "common/metrics.h"
 
 namespace gbx {
 
@@ -64,44 +67,49 @@ std::vector<int> BorderlineScanDimensions(const GranularBallSet& balls,
 std::vector<int> SampleBorderlineIndices(
     const GranularBallSet& balls, std::vector<int>* borderline_ball_ids,
     int max_scan_dimensions) {
+  static metrics::Histogram* const scan_hist =
+      metrics::CorePhaseHistogram("gbabs_scan");
+  metrics::ScopedTimerMs scan_timer(metrics::Enabled() ? scan_hist : nullptr);
   const int m = balls.size();
   const Matrix& x = balls.scaled_features();
-  std::set<int> sampled;
-  std::set<int> borderline;
+  std::vector<std::uint8_t> sampled(x.rows(), 0);
+  std::vector<std::uint8_t> borderline(m, 0);
 
-  std::vector<int> order(m);
-  for (int i = 0; i < m; ++i) order[i] = i;
-
+  // (center coordinate, ball id) pairs, rebuilt per dimension: sorting
+  // them orders the centers along the dimension with ties broken by ball
+  // id, so the scan is deterministic.
+  std::vector<std::pair<double, int>> order(m);
   const std::vector<int> dims =
       BorderlineScanDimensions(balls, max_scan_dimensions);
   for (int dim : dims) {
-    // Step 1: sort centers along this dimension (ties by ball id so the
-    // scan is deterministic).
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double va = balls.ball(a).center[dim];
-      const double vb = balls.ball(b).center[dim];
-      if (va != vb) return va < vb;
-      return a < b;
-    });
+    // Step 1: sort centers along this dimension.
+    for (int i = 0; i < m; ++i) order[i] = {balls.ball(i).center[dim], i};
+    std::sort(order.begin(), order.end());
     // Step 2: adjacent heterogeneous centers flag both balls as borderline
     // and contribute the two members facing the boundary.
     for (int i = 0; i + 1 < m; ++i) {
-      const int left = order[i];
-      const int right = order[i + 1];
-      if (balls.ball(left).label == balls.ball(right).label) continue;
-      borderline.insert(left);
-      borderline.insert(right);
-      sampled.insert(ExtremeMember(balls.ball(left), x, dim,
-                                   /*want_max=*/true));
-      sampled.insert(ExtremeMember(balls.ball(right), x, dim,
-                                   /*want_max=*/false));
+      const GranularBall& left = balls.ball(order[i].second);
+      const GranularBall& right = balls.ball(order[i + 1].second);
+      if (left.label == right.label) continue;
+      borderline[order[i].second] = 1;
+      borderline[order[i + 1].second] = 1;
+      sampled[ExtremeMember(left, x, dim, /*want_max=*/true)] = 1;
+      sampled[ExtremeMember(right, x, dim, /*want_max=*/false)] = 1;
     }
   }
 
+  // Flag vectors emit their ids in ascending order.
+  const auto flagged = [](const std::vector<std::uint8_t>& flags) {
+    std::vector<int> ids;
+    for (int i = 0; i < static_cast<int>(flags.size()); ++i) {
+      if (flags[i]) ids.push_back(i);
+    }
+    return ids;
+  };
   if (borderline_ball_ids != nullptr) {
-    borderline_ball_ids->assign(borderline.begin(), borderline.end());
+    *borderline_ball_ids = flagged(borderline);
   }
-  return std::vector<int>(sampled.begin(), sampled.end());
+  return flagged(sampled);
 }
 
 GbabsResult RunGbabs(const Dataset& dataset, const GbabsConfig& config) {

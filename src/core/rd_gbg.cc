@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -13,17 +15,18 @@
 #include "index/ball_surface_index.h"
 #include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
+#include "index/neighbor_index.h"
 #include "simd/simd.h"
 
 namespace gbx {
 
 namespace {
 
-// Tile size of the flat candidate fill's gather-pack: scattered U-rows
-// are packed into a thread-local SoA scratch this many at a time, so
-// the batched distance kernel streams L1-resident blocks. 256 rows ×
-// typical dims keeps the scratch well under 32 KiB.
-constexpr int kCandidateTile = 256;
+// The flat candidate scan splits across the pool only when U carries at
+// least this many row-dimensions: a candidate pass is tens of
+// microseconds, so below it the pool handoff costs more than the second
+// worker saves.
+constexpr std::int64_t kScanMinParallelUnits = std::int64_t{1} << 18;
 
 // Lifecycle of a sample during granulation.
 enum class SampleState : std::uint8_t {
@@ -37,33 +40,40 @@ bool InU(SampleState s) {
   return s == SampleState::kUndivided || s == SampleState::kLowDensity;
 }
 
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 // Squared distance to a neighbor candidate. The (dist2, index) pair is a
-// strict total order, so any selection schedule — the lazily sorted flat
-// scan or the incremental KD-tree queries — realizes the same sorted
-// sequence, which is what keeps the strategy knob bit-identical.
+// strict total order, so any selection schedule — the resident scan's
+// top-K with its lazily sorted tail or the incremental KD-tree queries —
+// realizes the same sorted sequence, which is what keeps the strategy
+// knob bit-identical.
 using DistEntry = SquaredNeighbor;
 
 // Lazily sorted prefix over a DistEntry array. The granulation scans
 // neighbors from nearest outward and almost always stops early — at the
 // first heterogeneous neighbor or at the r_conf bound — so sorting all n
-// entries (the seed implementation's std::sort) wastes nearly all of its
-// O(n log n) work. Instead, operator[] materializes the globally sorted
-// prefix on demand: each growth step selects the next block with
-// nth_element (O(remaining)) and sorts just that block, with the block
-// size growing geometrically so a full scan still costs O(n log n) total.
+// entries wastes nearly all of its O(n log n) work. Instead, operator[]
+// materializes the globally sorted prefix on demand: each growth step
+// selects the next block with nth_element (O(remaining)) and sorts just
+// that block, with the block size growing geometrically so a full scan
+// still costs O(n log n) total.
 class LazySortedPrefix {
  public:
   LazySortedPrefix(std::vector<DistEntry>* entries, std::size_t initial_block)
       : entries_(entries),
         initial_block_(std::max<std::size_t>(initial_block, 1)) {}
 
-  std::size_t size() const { return entries_->size(); }
-
   /// The i-th nearest entry; sorts further prefix blocks as needed.
   const DistEntry& operator[](std::size_t i) {
     if (i >= sorted_) Grow(i + 1);
     return (*entries_)[i];
   }
+
+  std::size_t sorted() const { return sorted_; }
 
  private:
   void Grow(std::size_t need) {
@@ -82,14 +92,244 @@ class LazySortedPrefix {
   std::size_t sorted_ = 0;  // [0, sorted_) is the globally sorted prefix
 };
 
+// T = U − L grouped by class, kept incrementally: one order-statistic
+// set per class, a Fenwick tree over the class's samples in index order
+// with a 1 for every sample still undivided. Select(cls, k) returns the
+// k-th undivided sample of the class in index order — exactly
+// `members[k]` of a per-round regroup — in O(log n), and a departure is
+// one O(log n) update instead of an O(n) rebuild per round.
+class UndividedByClass {
+ public:
+  UndividedByClass(const std::vector<int>& labels, int num_classes)
+      : members_(num_classes),
+        tree_(num_classes),
+        count_(num_classes),
+        pos_(labels.size()) {
+    for (int i = 0; i < static_cast<int>(labels.size()); ++i) {
+      std::vector<int>& m = members_[labels[i]];
+      pos_[i] = static_cast<int>(m.size());
+      m.push_back(i);
+    }
+    for (int c = 0; c < num_classes; ++c) {
+      // Every sample starts undivided: node j (1-based) covers
+      // lowbit(j) ones.
+      count_[c] = static_cast<int>(members_[c].size());
+      tree_[c].resize(count_[c] + 1);
+      for (int j = 1; j <= count_[c]; ++j) tree_[c][j] = j & -j;
+    }
+  }
+
+  int count(int cls) const { return count_[cls]; }
+
+  /// Removes undivided sample `i` of class `cls`.
+  void Erase(int cls, int i) {
+    std::vector<int>& t = tree_[cls];
+    for (int j = pos_[i] + 1; j < static_cast<int>(t.size()); j += j & -j) {
+      --t[j];
+    }
+    --count_[cls];
+  }
+
+  /// The k-th (0-based) undivided sample of class `cls` in index order.
+  int Select(int cls, int k) const {
+    GBX_DCHECK(k >= 0 && k < count_[cls]);
+    const std::vector<int>& t = tree_[cls];
+    const int size = static_cast<int>(t.size()) - 1;
+    int step = 1;
+    while (step * 2 <= size) step *= 2;
+    int pos = 0;  // largest 1-based position whose prefix sum is <= k
+    for (; step > 0; step /= 2) {
+      if (pos + step <= size && t[pos + step] <= k) {
+        pos += step;
+        k -= t[pos];
+      }
+    }
+    return members_[cls][pos];
+  }
+
+ private:
+  std::vector<std::vector<int>> members_;  // class samples, ascending
+  std::vector<std::vector<int>> tree_;     // Fenwick trees, 1-based
+  std::vector<int> count_;                 // undivided samples per class
+  std::vector<int> pos_;                   // sample -> index in members_
+};
+
+// Flat strategy: U kept resident as a SoA copy of its rows, so a
+// candidate's neighbor pass is one streaming kernel call instead of a
+// gather-pack of scattered rows. Departures are tombstoned (the slot's
+// live flag clears) and the copy compacts once half its slots are dead.
+// The granulation applies a candidate's departures only when the
+// candidate ends, so every scan sees the U the candidate started with.
+class ResidentU {
+ public:
+  explicit ResidentU(const Matrix& x)
+      : x_(&x),
+        rows_(SoaMatrix::FromMatrix(x)),
+        slot_sample_(x.rows()),
+        sample_slot_(x.rows()),
+        live_(x.rows(), 1),
+        live_count_(x.rows()),
+        dist_(x.rows()) {
+    for (int i = 0; i < x.rows(); ++i) slot_sample_[i] = sample_slot_[i] = i;
+  }
+
+  int live() const { return live_count_; }
+
+  void Remove(int sample) {
+    std::uint8_t& flag = live_[sample_slot_[sample]];
+    GBX_DCHECK(flag);
+    flag = 0;
+    --live_count_;
+  }
+
+  /// Compacts the slots once at least half of them are dead.
+  void CompactIfSparse() {
+    const int slots = rows_.rows();
+    if ((slots - live_count_) * 2 < slots) return;
+    int kept = 0;
+    for (int s = 0; s < slots; ++s) {
+      if (live_[s]) slot_sample_[kept++] = slot_sample_[s];
+    }
+    slot_sample_.resize(kept);
+    for (int s = 0; s < kept; ++s) sample_slot_[slot_sample_[s]] = s;
+    live_.assign(kept, 1);
+    rows_.GatherRows(*x_, slot_sample_.data(), kept);
+  }
+
+  /// Squared distances from `q` to every slot into the shared distance
+  /// buffer, fused with the selection of the k smallest (dist2, index)
+  /// entries among the live samples other than `exclude`, which land in
+  /// `top` ascending. The slots split into `workers` contiguous ranges,
+  /// each with its own bounded max-heap; a row reaches its heap only if
+  /// it beats the heap's current worst. Because the order is strict and
+  /// total, the merged top-k is the same for every split.
+  void ScanTopK(const double* q, int exclude, int k, int workers,
+                std::vector<DistEntry>* top) {
+    const int slots = rows_.rows();
+    const int exclude_slot = sample_slot_[exclude];
+    heaps_.resize(workers);
+    ParallelForRange(workers, 1, workers, [&](int wbegin, int wend) {
+      for (int w = wbegin; w < wend; ++w) {
+        const int lo = static_cast<int>(
+            static_cast<std::int64_t>(slots) * w / workers);
+        const int hi = static_cast<int>(
+            static_cast<std::int64_t>(slots) * (w + 1) / workers);
+        ScanRange(q, lo, hi, exclude_slot, k, &heaps_[w]);
+      }
+    });
+    top->clear();
+    for (const std::vector<DistEntry>& heap : heaps_) {
+      top->insert(top->end(), heap.begin(), heap.end());
+    }
+    std::sort(top->begin(), top->end());
+    if (static_cast<int>(top->size()) > k) top->resize(k);
+  }
+
+  /// After ScanTopK: every live entry but `exclude`'s, read from the
+  /// distance buffer — the input of the full-scan fallback.
+  void FillAll(int exclude, std::vector<DistEntry>* out) const {
+    const int slots = rows_.rows();
+    const int exclude_slot = sample_slot_[exclude];
+    out->clear();
+    for (int s = 0; s < slots; ++s) {
+      if (live_[s] && s != exclude_slot) {
+        out->push_back(DistEntry{dist_[s], slot_sample_[s]});
+      }
+    }
+  }
+
+ private:
+  // Kernel blocks stay L1-resident between the fill and the heap pass.
+  static constexpr int kScanBlock = 256;
+
+  void ScanRange(const double* q, int lo, int hi, int exclude_slot, int k,
+                 std::vector<DistEntry>* heap) {
+    heap->clear();
+    double* d = dist_.data();
+    double worst = std::numeric_limits<double>::infinity();
+    for (int b = lo; b < hi; b += kScanBlock) {
+      const int e = std::min(hi, b + kScanBlock);
+      simd::SquaredDistanceBatch(q, rows_, b, e, d);
+      for (int s = b; s < e; ++s) {
+        // A tie with the worst entry still competes on the index.
+        if (d[s] > worst || !live_[s] || s == exclude_slot) continue;
+        OfferToBoundedHeap(heap, DistEntry{d[s], slot_sample_[s]}, k);
+        if (static_cast<int>(heap->size()) == k) worst = heap->front().dist2;
+      }
+    }
+  }
+
+  const Matrix* x_;
+  SoaMatrix rows_;                 // slot s holds sample slot_sample_[s]
+  std::vector<int> slot_sample_;
+  std::vector<int> sample_slot_;   // valid for live samples
+  std::vector<std::uint8_t> live_;
+  int live_count_;
+  std::vector<double> dist_;       // per-slot distances of the last scan
+  std::vector<std::vector<DistEntry>> heaps_;  // one per scan worker
+};
+
+// The sorted neighbor view over a resident scan: the top-K prefix
+// serves almost every read; a candidate that reads past K falls back to
+// a LazySortedPrefix over every live entry, built from the distances the
+// scan already left in the buffer.
+class ResidentNeighborView {
+ public:
+  ResidentNeighborView(const ResidentU* u, int exclude,
+                       const std::vector<DistEntry>* top,
+                       std::vector<DistEntry>* storage,
+                       std::size_t initial_block, double* fallback_ms)
+      : u_(u),
+        exclude_(exclude),
+        top_(top),
+        storage_(storage),
+        m_(static_cast<std::size_t>(u->live() - 1)),
+        initial_block_(initial_block),
+        fallback_ms_(fallback_ms) {}
+
+  /// Eligible neighbors (live samples minus the candidate itself).
+  std::size_t size() const { return m_; }
+
+  const DistEntry& operator[](std::size_t i) {
+    if (i < top_->size()) return (*top_)[i];
+    return Tail(i);
+  }
+
+ private:
+  const DistEntry& Tail(std::size_t i) {
+    std::chrono::steady_clock::time_point start;
+    const bool timed = fallback_ms_ != nullptr &&
+                       (!lazy_.has_value() || i >= lazy_->sorted());
+    if (timed) start = std::chrono::steady_clock::now();
+    if (!lazy_.has_value()) {
+      // The top-K prefix has already been read, so the first block
+      // doubles it.
+      u_->FillAll(exclude_, storage_);
+      lazy_.emplace(storage_, 2 * initial_block_);
+    }
+    const DistEntry& entry = (*lazy_)[i];
+    if (timed) *fallback_ms_ += MsSince(start);
+    return entry;
+  }
+
+  const ResidentU* u_;
+  int exclude_;
+  const std::vector<DistEntry>* top_;
+  std::vector<DistEntry>* storage_;
+  std::size_t m_;
+  std::size_t initial_block_;
+  double* fallback_ms_;  // nullptr when metrics are off
+  std::optional<LazySortedPrefix> lazy_;
+};
+
 // The same lazily-extended sorted-neighbor view, served by incremental
-// tree queries instead of a flat distance fill: operator[] fetches the
+// tree queries instead of a flat distance scan: operator[] fetches the
 // (i+1)-nearest live neighbors on demand, with the fetch size growing
 // geometrically like LazySortedPrefix's blocks. Each fetch is a fresh
 // k-NN query, so the tree must not change while a stream is live — the
 // granulation defers its tombstone removals to the end of the candidate,
 // which also keeps the view a consistent snapshot of the U-set exactly
-// like the flat path's entries buffer. Because the query returns the
+// like the flat path's resident copy. Because the query returns the
 // (dist2, index)-sorted prefix of the same total order the flat scan
 // sorts by, the strategies are interchangeable bit-for-bit. Tree is
 // DynamicKdTree or BallTree — both serve KNearestSquared in that exact
@@ -155,25 +395,28 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   const int grain = ParallelGrain(p);
 
   // Phase timers (gbx_core_phase_ms{phase=...}): total granulation time
-  // plus the accumulated r_conf pass. Behind metrics::Enabled() because
-  // the r_conf probe adds two clock reads per candidate — near-zero
-  // when armed, literally zero when GBX_METRICS=0.
+  // plus the accumulated r_conf pass, flat top-K scan and flat full-scan
+  // fallback. Behind metrics::Enabled() because each probe adds two
+  // clock reads per candidate — near-zero when armed, literally zero
+  // when GBX_METRICS=0.
   const bool metrics_on = metrics::Enabled();
   const auto fit_start = std::chrono::steady_clock::now();
   double rconf_accum_ms = 0.0;
+  double scan_accum_ms = 0.0;
+  double fallback_accum_ms = 0.0;
 
   Matrix x = config.scale_features ? MinMaxScaler().FitTransform(dataset.x())
                                    : dataset.x();
   const std::vector<int>& labels = dataset.y();
 
   std::vector<SampleState> state(n, SampleState::kUndivided);
+  UndividedByClass undivided(labels, q);  // T
   std::vector<GranularBall> balls;
   RdGbgResult result;
   Pcg32 rng(config.seed);
 
-  std::vector<int> active;  // samples still in U, rebuilt per candidate
-  active.reserve(n);
   std::vector<DistEntry> entries;
+  std::vector<DistEntry> top;  // flat scan: the candidate's K nearest
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
   // (simd::MinSurfaceGap), maintained only while the flat scan is live
@@ -182,20 +425,22 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   SoaMatrix ball_centers_soa(p);
   std::vector<double> ball_radii;
 
-  // Tree strategy: instead of re-scanning the whole undivided set per
-  // candidate, a tree follows U — every sample that leaves U (noise,
-  // ball member) is tombstoned, and the tree rebuilds itself once the
-  // tombstones outnumber the survivors. kTree prunes with axis-aligned
-  // boxes, kBallTree with the triangle inequality (better at moderate
-  // dimensionality).
+  // Every strategy follows U: each sample that leaves it (noise, ball
+  // member) is tombstoned, and the structure rebuilds itself once the
+  // tombstones reach half of it. kFlat scans a resident copy of U's
+  // rows, kTree prunes with axis-aligned boxes, kBallTree with the
+  // triangle inequality (better at moderate dimensionality).
   const IndexStrategy strategy =
       ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads, &x);
   std::unique_ptr<DynamicKdTree> utree;
   std::unique_ptr<BallTree> ubtree;
+  std::unique_ptr<ResidentU> uflat;
   if (strategy == IndexStrategy::kTree) {
     utree = std::make_unique<DynamicKdTree>(&x);
   } else if (strategy == IndexStrategy::kBallTree) {
     ubtree = std::make_unique<BallTree>(&x);
+  } else {
+    uflat = std::make_unique<ResidentU>(x);
   }
   // The r_conf pass switches from the flat per-ball gap scan to the
   // insert-capable BallSurfaceIndex once this many balls exist
@@ -208,31 +453,36 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   const std::size_t initial_block =
       std::max<std::size_t>(static_cast<std::size_t>(rho), 32);
 
+  // Every state transition goes through here, so T and the candidate's
+  // deferred U-departures never drift from `state`.
+  const auto set_state = [&](int i, SampleState to) {
+    if (state[i] == SampleState::kUndivided) undivided.Erase(labels[i], i);
+    state[i] = to;
+    if (!InU(to)) removed_now.push_back(i);
+  };
+
+  std::vector<int> group_order;
+  std::vector<int> candidates;
   for (;;) {
-    // --- Step 1 per round: build T = U - L grouped by class. ---
-    std::vector<std::vector<int>> groups(q);
-    for (int i = 0; i < n; ++i) {
-      if (state[i] == SampleState::kUndivided) groups[labels[i]].push_back(i);
-    }
-    std::vector<int> group_order;
+    // --- Step 1 per round: T = U - L grouped by class. ---
+    group_order.clear();
     for (int c = 0; c < q; ++c) {
-      if (!groups[c].empty()) group_order.push_back(c);
+      if (undivided.count(c) > 0) group_order.push_back(c);
     }
     if (group_order.empty()) break;  // U ⊆ L: terminate global iteration
     // Larger groups first (|T1| >= |T2| >= ...), class id as tie-break.
     std::stable_sort(group_order.begin(), group_order.end(),
                      [&](int a, int b) {
-                       return groups[a].size() > groups[b].size();
+                       return undivided.count(a) > undivided.count(b);
                      });
     ++result.iterations;
 
-    // One random candidate per class.
-    std::vector<int> candidates;
-    candidates.reserve(group_order.size());
+    // One random candidate per class, drawn before any of them runs.
+    candidates.clear();
     for (int cls : group_order) {
-      const auto& members = groups[cls];
+      const auto size = static_cast<std::uint32_t>(undivided.count(cls));
       candidates.push_back(
-          members[rng.NextBounded(static_cast<std::uint32_t>(members.size()))]);
+          undivided.Select(cls, static_cast<int>(rng.NextBounded(size))));
     }
 
     for (int c : candidates) {
@@ -243,13 +493,12 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
       removed_now.clear();
 
       // Everything from local-density detection to ball assembly,
-      // against a sorted neighbor view — LazySortedPrefix over the flat
-      // distance fill or TreeNeighborStream over incremental KD-tree
-      // queries. Both present the same (dist2, index) total order, so
-      // the two instantiations make identical decisions bit-for-bit.
-      // Tree tombstone removals are deferred (collected in removed_now)
-      // so the stream keeps serving the candidate-start snapshot of U,
-      // exactly like the flat path's entries buffer: a noisy nearest
+      // against a sorted neighbor view — ResidentNeighborView over the
+      // flat scan or TreeNeighborStream over incremental tree queries.
+      // Both present the same (dist2, index) total order, so the
+      // instantiations make identical decisions bit-for-bit. Tombstone
+      // removals are deferred (collected in removed_now) so every view
+      // serves the candidate-start snapshot of U: a noisy nearest
       // neighbor removed mid-candidate still occupies position 0, and
       // scan_begin skips it.
       auto run_candidate = [&](auto& neighbors) {
@@ -265,21 +514,19 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           }
           if (h == rho_eff) {
             // Surrounded by heterogeneous samples: c is class noise.
-            state[c] = SampleState::kNoise;
-            removed_now.push_back(c);
+            set_state(c, SampleState::kNoise);
             result.noise_indices.push_back(c);
             return;
           }
           if (h == 1) {
             // The lone heterogeneous nearest neighbor is the noise.
             const int nn = neighbors[0].index;
-            state[nn] = SampleState::kNoise;
-            removed_now.push_back(nn);
+            set_state(nn, SampleState::kNoise);
             result.noise_indices.push_back(nn);
             scan_begin = 1;
           } else {
             // 1 < h < rho: c cannot be cleanly separated — low density.
-            state[c] = SampleState::kLowDensity;
+            set_state(c, SampleState::kLowDensity);
             return;
           }
         }
@@ -348,11 +595,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           }
         }
         r_conf = std::max(r_conf, 0.0);
-        if (metrics_on) {
-          rconf_accum_ms += std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - rconf_start)
-                                .count();
-        }
+        if (metrics_on) rconf_accum_ms += MsSince(rconf_start);
         const double r_conf2 = r_conf * r_conf;
 
         double r2 = cr2;
@@ -369,7 +612,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
         if (r2 <= 0.0) {
           // Center sits on the edge of U; leave it for later absorption.
-          state[c] = SampleState::kLowDensity;
+          set_state(c, SampleState::kLowDensity);
           return;
         }
 
@@ -380,15 +623,13 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         ball.radius = std::sqrt(r2);
         ball.label = label;
         ball.members.push_back(c);
-        state[c] = SampleState::kCovered;
-        removed_now.push_back(c);
+        set_state(c, SampleState::kCovered);
         for (std::size_t i = scan_begin; i < neighbors.size(); ++i) {
           if (neighbors[i].dist2 > r2) break;
           const int idx = neighbors[i].index;
           GBX_DCHECK(labels[idx] == label);
           ball.members.push_back(idx);
-          state[idx] = SampleState::kCovered;
-          removed_now.push_back(idx);
+          set_state(idx, SampleState::kCovered);
         }
         GBX_CHECK_GE(ball.size(), 2);
         balls.push_back(std::move(ball));
@@ -416,7 +657,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
       // then apply the candidate's deferred U-departures as tombstones.
       const auto run_with_tree = [&](auto* tree) {
         if (tree->size() <= 1) {
-          state[c] = SampleState::kLowDensity;  // last sample standing
+          set_state(c, SampleState::kLowDensity);  // last sample standing
           return;
         }
         TreeNeighborStream neighbors(tree, cx, /*exclude=*/c, &entries,
@@ -433,47 +674,28 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         continue;
       }
 
-      // Flat strategy: squared distances from c to every other sample
-      // still in U. The scan parallelizes over disjoint slots of
-      // `entries`, so its content does not depend on the thread count;
-      // sqrt is deferred until a radius is actually assigned.
-      active.clear();
-      for (int i = 0; i < n; ++i) {
-        if (i != c && InU(state[i])) active.push_back(i);
-      }
-      const int m = static_cast<int>(active.size());
-      if (m == 0) {
-        state[c] = SampleState::kLowDensity;  // last sample standing
+      // Flat strategy: one fused distance + top-K pass over the resident
+      // U; sqrt is deferred until a radius is actually assigned.
+      if (uflat->live() <= 1) {
+        set_state(c, SampleState::kLowDensity);  // last sample standing
         continue;
       }
-      entries.resize(m);
-      {
-        const int* act = active.data();
-        DistEntry* out = entries.data();
-        ParallelForRange(
-            m, grain, ParallelThreads(m, p, threads),
-            [&](int begin, int end) {
-              // Gather-pack each tile of scattered U-rows into a
-              // thread-local SoA scratch, then one batched kernel call
-              // fills the tile — per-row arithmetic identical to
-              // SquaredDistance (simd.h contract). thread_local: pool
-              // workers are long-lived, so the scratch amortizes across
-              // candidates.
-              thread_local SoaMatrix tile;
-              thread_local std::vector<double> d2;
-              for (int t = begin; t < end; t += kCandidateTile) {
-                const int cnt = std::min(end - t, kCandidateTile);
-                tile.GatherRows(x, act + t, cnt);
-                d2.resize(cnt);
-                simd::SquaredDistanceBatch(cx, tile, 0, cnt, d2.data());
-                for (int j = 0; j < cnt; ++j) {
-                  out[t + j] = DistEntry{d2[j], act[t + j]};
-                }
-              }
-            });
-      }
-      LazySortedPrefix neighbors(&entries, initial_block);
+      std::chrono::steady_clock::time_point scan_start;
+      if (metrics_on) scan_start = std::chrono::steady_clock::now();
+      const int k = static_cast<int>(std::min<std::size_t>(
+          initial_block, static_cast<std::size_t>(uflat->live() - 1)));
+      const int scan_workers =
+          static_cast<std::int64_t>(uflat->live()) * p >= kScanMinParallelUnits
+              ? threads
+              : 1;
+      uflat->ScanTopK(cx, /*exclude=*/c, k, scan_workers, &top);
+      if (metrics_on) scan_accum_ms += MsSince(scan_start);
+      ResidentNeighborView neighbors(uflat.get(), c, &top, &entries,
+                                     initial_block,
+                                     metrics_on ? &fallback_accum_ms : nullptr);
       run_candidate(neighbors);
+      for (int idx : removed_now) uflat->Remove(idx);
+      uflat->CompactIfSparse();
     }
   }
 
@@ -495,16 +717,13 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   std::sort(result.orphan_indices.begin(), result.orphan_indices.end());
   result.balls = GranularBallSet(std::move(balls), std::move(x), q);
   if (metrics_on) {
-    auto& reg = metrics::MetricsRegistry::Default();
-    static const std::string help =
-        "Core algorithm phase durations (ms); phases: rdgbg_fit, "
-        "rdgbg_rconf, gbknn_fit, gbknn_index_build, gbknn_predict_batch";
-    reg.GetHistogram("gbx_core_phase_ms", {{"phase", "rdgbg_fit"}}, help)
-        ->Observe(std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - fit_start)
-                      .count());
-    reg.GetHistogram("gbx_core_phase_ms", {{"phase", "rdgbg_rconf"}}, help)
-        ->Observe(rconf_accum_ms);
+    using metrics::CorePhaseHistogram;
+    CorePhaseHistogram("rdgbg_fit")->Observe(MsSince(fit_start));
+    CorePhaseHistogram("rdgbg_rconf")->Observe(rconf_accum_ms);
+    if (uflat != nullptr) {
+      CorePhaseHistogram("rdgbg_scan")->Observe(scan_accum_ms);
+      CorePhaseHistogram("rdgbg_fallback")->Observe(fallback_accum_ms);
+    }
   }
   return result;
 }

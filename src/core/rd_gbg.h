@@ -39,17 +39,24 @@ struct RdGbgConfig {
   bool scale_features = true;
   /// Worker threads for the per-candidate distance scans. <= 0 resolves to
   /// the GBX_THREADS environment variable or the hardware concurrency
-  /// (see common/parallel.h); 1 forces a fully serial run. Candidate
-  /// selection and all state mutation stay sequential, so the granulation
-  /// is bit-identical at every thread count. Reaches GBABS through
-  /// GbabsConfig::gbg.
+  /// (see common/parallel.h); 1 forces a fully serial run. The flat
+  /// top-K scan splits across workers only while U carries enough
+  /// row-dimensions to repay the pool handoff (measured: usps-sized
+  /// n·d = 2000·256 gains from a second worker, magic-sized 8000·10
+  /// loses), so small or low-dimensional inputs scan serially at any
+  /// setting. Candidate selection and all state mutation stay
+  /// sequential, so the granulation is bit-identical at every thread
+  /// count. Reaches GBABS through GbabsConfig::gbg.
   int num_threads = 0;
   /// How the per-candidate neighbor pass scans the shrinking undivided
-  /// set: kFlat is the parallel exhaustive scan, kTree a DynamicKdTree
-  /// that follows the U-set with tombstone deletions (asymptotically
-  /// cheaper from ~4k samples in indexable dimensionality), kBallTree a
-  /// metric ball-tree whose triangle-inequality pruning extends tree
-  /// wins to moderate dimensionality, kAuto picks by n and dims
+  /// set: kFlat is one fused distance + top-K pass over a resident,
+  /// tombstoned copy of U's rows (falling back to a full lazily sorted
+  /// fill only for a candidate that reads past its K = max(rho, 32)
+  /// nearest), kTree a DynamicKdTree that follows the U-set with
+  /// tombstone deletions (asymptotically cheaper from ~4k samples in
+  /// indexable dimensionality), kBallTree a metric ball-tree whose
+  /// triangle-inequality pruning extends tree wins to moderate
+  /// dimensionality, kAuto picks by n and dims
   /// (index/index_strategy.h). The same knob drives the conflict-radius
   /// pass: any tree strategy (and kAuto past a measured ball count)
   /// routes r_conf through an incremental BallSurfaceIndex over the

@@ -19,12 +19,7 @@ namespace {
 // (core/rd_gbg.cc). Call sites gate on metrics::Enabled() and cache the
 // histogram pointer in a function-local static, so the armed cost is
 // two clock reads and the disarmed cost is one relaxed atomic load.
-metrics::Histogram* PhaseHistogram(const char* phase) {
-  return metrics::MetricsRegistry::Default().GetHistogram(
-      "gbx_core_phase_ms", {{"phase", phase}},
-      "Core algorithm phase durations (ms); phases: rdgbg_fit, "
-      "rdgbg_rconf, gbknn_fit, gbknn_index_build, gbknn_predict_batch");
-}
+using metrics::CorePhaseHistogram;
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -72,7 +67,7 @@ void GbKnnClassifier::Fit(const Dataset& train, Pcg32* rng) {
   num_classes_ = train.num_classes();
   RebuildCenterIndex();
   if (metrics_on) {
-    static metrics::Histogram* h = PhaseHistogram("gbknn_fit");
+    static metrics::Histogram* h = CorePhaseHistogram("gbknn_fit");
     h->Observe(MsSince(fit_start));
   }
 }
@@ -112,7 +107,8 @@ void GbKnnClassifier::set_recall_target(double recall) {
 void GbKnnClassifier::RebuildCenterIndex() {
   // RAII: the early returns below (unfitted, flat backend) are builds
   // too, just trivial ones.
-  static metrics::Histogram* build_hist = PhaseHistogram("gbknn_index_build");
+  static metrics::Histogram* build_hist =
+      CorePhaseHistogram("gbknn_index_build");
   metrics::ScopedTimerMs build_timer(metrics::Enabled() ? build_hist
                                                         : nullptr);
   center_index_.reset();
@@ -287,7 +283,7 @@ std::vector<int> GbKnnClassifier::PredictBatch(const Matrix& x) const {
 std::vector<int> GbKnnClassifier::PredictBatchWithRecall(const Matrix& x,
                                                          double recall) const {
   static metrics::Histogram* predict_hist =
-      PhaseHistogram("gbknn_predict_batch");
+      CorePhaseHistogram("gbknn_predict_batch");
   metrics::ScopedTimerMs predict_timer(metrics::Enabled() ? predict_hist
                                                           : nullptr);
   std::vector<int> out(x.rows());

@@ -238,5 +238,89 @@ TEST(GbabsTest, PreservesDecisionTreeAccuracyOnSeparableData) {
   EXPECT_GT(sampled_acc, full_acc - 0.08);
 }
 
+// The borderline scan written the direct way, as a reference: per
+// dimension, ball ids sorted by (center coordinate, id), results
+// collected in ordered sets.
+void ReferenceBorderline(const GranularBallSet& balls,
+                         std::vector<int>* sampled,
+                         std::vector<int>* borderline) {
+  const Matrix& x = balls.scaled_features();
+  const auto extreme = [&](const GranularBall& ball, int dim, bool want_max) {
+    int best = ball.members[0];
+    for (int idx : ball.members) {
+      const double v = x.At(idx, dim);
+      if (want_max ? v > x.At(best, dim) : v < x.At(best, dim)) best = idx;
+    }
+    return best;
+  };
+  std::set<int> samples;
+  std::set<int> flagged;
+  std::vector<int> order(balls.size());
+  for (int dim = 0; dim < x.cols(); ++dim) {
+    for (int i = 0; i < balls.size(); ++i) order[i] = i;
+    std::sort(order.begin(), order.end(), [&](int a, int b) {
+      const double va = balls.ball(a).center[dim];
+      const double vb = balls.ball(b).center[dim];
+      return va != vb ? va < vb : a < b;
+    });
+    for (int i = 0; i + 1 < balls.size(); ++i) {
+      const GranularBall& left = balls.ball(order[i]);
+      const GranularBall& right = balls.ball(order[i + 1]);
+      if (left.label == right.label) continue;
+      flagged.insert({order[i], order[i + 1]});
+      samples.insert(extreme(left, dim, /*want_max=*/true));
+      samples.insert(extreme(right, dim, /*want_max=*/false));
+    }
+  }
+  sampled->assign(samples.begin(), samples.end());
+  borderline->assign(flagged.begin(), flagged.end());
+}
+
+// Balls whose centers (and members) sit on a coarse grid, so center
+// coordinates tie along every dimension and the ball-id tie-break
+// decides which balls are adjacent.
+GranularBallSet TiedCenterBalls(std::uint64_t seed) {
+  Pcg32 rng(seed);
+  const int m = 2 + static_cast<int>(rng.NextBounded(40));
+  const int p = 1 + static_cast<int>(rng.NextBounded(4));
+  const int q = 2 + static_cast<int>(rng.NextBounded(2));
+  std::vector<std::vector<double>> rows;
+  std::vector<GranularBall> balls(m);
+  for (GranularBall& ball : balls) {
+    ball.label = static_cast<int>(rng.NextBounded(q));
+    ball.center.resize(p);
+    for (double& c : ball.center) c = 0.5 * rng.NextBounded(3);
+    const int members = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int k = 0; k < members; ++k) {
+      std::vector<double> row = ball.center;
+      if (k > 0) {
+        for (double& v : row) v += 0.1 * rng.NextInt(-1, 1);
+      }
+      ball.members.push_back(static_cast<int>(rows.size()));
+      rows.push_back(std::move(row));
+    }
+    ball.center_index = ball.members[0];
+    ball.radius = members > 1 ? 0.2 : 0.0;
+  }
+  Matrix x(static_cast<int>(rows.size()), p);
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < p; ++j) x.At(i, j) = rows[i][j];
+  }
+  return GranularBallSet(std::move(balls), std::move(x), q);
+}
+
+TEST(GbabsTest, TiedCenterCoordinatesBreakTiesByBallId) {
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const GranularBallSet balls = TiedCenterBalls(seed);
+    std::vector<int> want_sampled;
+    std::vector<int> want_borderline;
+    ReferenceBorderline(balls, &want_sampled, &want_borderline);
+    std::vector<int> borderline;
+    EXPECT_EQ(SampleBorderlineIndices(balls, &borderline), want_sampled);
+    EXPECT_EQ(borderline, want_borderline);
+  }
+}
+
 }  // namespace
 }  // namespace gbx

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/gb_io.h"
 #include "data/noise.h"
 #include "data/paper_suite.h"
 #include "data/synthetic.h"
 #include "fuzz_dataset.h"
+#include "thread_counts.h"
 
 namespace gbx {
 namespace {
@@ -286,6 +288,91 @@ TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {
   for (int j = 0; j < ds.num_features(); ++j) {
     EXPECT_DOUBLE_EQ(ball.center[j], ds.feature(ball.center_index, j));
   }
+}
+
+// The flat strategy serves a candidate's K = max(rho, 32) nearest
+// neighbors from one fused distance + top-K scan over a resident copy of
+// U, falls back to a full lazily sorted fill when a candidate reads past
+// them, and compacts the copy once half of U has left. Both datasets
+// below drive those paths; the result must equal the KD-tree's bit for
+// bit at every thread count.
+std::string Fingerprint(const RdGbgResult& result) {
+  std::string text = GranularBallsToString(result.balls) + "noise";
+  for (int idx : result.noise_indices) text += ' ' + std::to_string(idx);
+  text += " orphans";
+  for (int idx : result.orphan_indices) text += ' ' + std::to_string(idx);
+  return text + " iterations " + std::to_string(result.iterations);
+}
+
+RdGbgResult ExpectFlatMatchesTree(const Dataset& ds, std::uint64_t seed) {
+  RdGbgConfig cfg;
+  cfg.seed = seed;
+  cfg.num_threads = 1;
+  cfg.index_strategy = IndexStrategy::kTree;
+  const std::string want = Fingerprint(GenerateRdGbg(ds, cfg));
+  cfg.index_strategy = IndexStrategy::kFlat;
+  RdGbgResult flat;
+  for (int threads : ThreadCountsUnderTest()) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    cfg.num_threads = threads;
+    flat = GenerateRdGbg(ds, cfg);
+    EXPECT_EQ(Fingerprint(flat), want);
+  }
+  return flat;
+}
+
+TEST(RdGbgFlatScanTest, CandidatesReadingPastTopKMatchTree) {
+  // One dense class-0 cluster of 600 samples plus a dozen class-1/2
+  // stragglers spread around it: a class-0 candidate's consistent
+  // region runs far past its 32 nearest neighbors.
+  const int cluster = 600;
+  const int stragglers = 12;
+  Matrix x(cluster + stragglers, 3);
+  std::vector<int> labels;
+  Pcg32 rng(8101);
+  for (int i = 0; i < cluster + stragglers; ++i) {
+    const bool straggler = i >= cluster;
+    for (int j = 0; j < 3; ++j) {
+      x.At(i, j) =
+          straggler ? 8.0 * rng.NextDouble() - 4.0 : rng.NextGaussian();
+    }
+    labels.push_back(straggler ? 1 + i % 2 : 0);
+  }
+  const Dataset ds(std::move(x), std::move(labels));
+  for (std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
+    int largest = 0;
+    for (const GranularBall& ball : result.balls.balls()) {
+      largest = std::max(largest, ball.size());
+    }
+    // A ball of more than K + 1 members read neighbors past the top K.
+    EXPECT_GT(largest, 32 + 1);
+  }
+}
+
+TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
+  // Four well-separated classes of three clusters each: balls swallow
+  // whole clusters, so U shrinks in big steps, the resident copy
+  // compacts more than once, and later rounds run over compacted
+  // copies. n·p starts above the flat scan's parallel threshold, so the
+  // early candidates also split the scan across workers.
+  BlobsConfig cfg;
+  cfg.num_samples = 1100;
+  cfg.num_classes = 4;
+  cfg.num_features = 240;
+  cfg.center_spread = 5.0;
+  cfg.cluster_std = 0.3;
+  cfg.clusters_per_class = 3;
+  Pcg32 rng(8102);
+  const Dataset ds = MakeGaussianBlobs(cfg, &rng);
+  const RdGbgResult result = ExpectFlatMatchesTree(ds, 5);
+  int departed = static_cast<int>(result.noise_indices.size());
+  for (const GranularBall& ball : result.balls.balls()) {
+    if (ball.radius > 0.0) departed += ball.size();
+  }
+  EXPECT_GE(2 * departed, ds.size());
+  EXPECT_GT(result.iterations, 2);
 }
 
 }  // namespace

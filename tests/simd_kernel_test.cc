@@ -408,7 +408,7 @@ TEST_F(SimdKernelOracleTest, NonFiniteEverywhere) {
   }
 }
 
-// GatherRows is the production tiling path (rd_gbg candidate fill):
+// GatherRows is the production compaction path (rd_gbg's resident U):
 // scattered indices, reused buffer (Clear keeps capacity), ragged tail.
 TEST_F(SimdKernelOracleTest, GatherRowsTilesBitExact) {
   ScopedSimdEnv env;

@@ -18,16 +18,10 @@
 #include "sampling/kmeans.h"
 #include "serve/registry.h"
 #include "serve_test_util.h"
+#include "thread_counts.h"
 
 namespace gbx {
 namespace {
-
-std::vector<int> ThreadCountsUnderTest() {
-  // 0 resolves to GBX_THREADS / hardware concurrency; the explicit counts
-  // force real multi-threaded execution even on a single-core machine
-  // (the pool grows on demand).
-  return {1, 2, 0, HardwareThreads() + 3};
-}
 
 Dataset OverlappingBlobs(int n) {
   BlobsConfig cfg;
