@@ -73,16 +73,14 @@ BENCHMARK(BM_RdGbg)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The IndexStrategy axis: the same granulation under the flat parallel
+// The IndexStrategy axis: the same granulation under the fused flat
 // scan (strategy:0) vs the DynamicKdTree (strategy:1) vs the metric
-// BallTree (strategy:2), each also flipping the r_conf pass to the
-// BallSurfaceIndex when a tree strategy is selected. Output is
-// bit-identical (thread_determinism_test), so the rows differ only in
-// wall time; these curves are the measured crossover behind kAuto's
-// thresholds (index/index_strategy.cc). Dimensionality is the deciding
-// axis — the KD-tree owns d<=4 at scale, the ball-tree extends tree
-// wins to d~8 where box pruning has concentrated away, and past that
-// the flat parallel scan wins again.
+// BallTree (strategy:2); the r_conf pass is the flat gap scan under
+// every strategy. Output is bit-identical (thread_determinism_test), so
+// the rows differ only in wall time; these curves are the measured
+// crossover behind kAuto's thresholds (index/index_strategy.cc).
+// Dimensionality is the deciding axis — the KD-tree owns d<=4 at scale
+// and past that the flat scan wins.
 const Dataset& CachedBlobsDim(int n, int d) {
   static std::map<std::pair<int, int>, Dataset> cache;
   const auto key = std::make_pair(n, d);
@@ -121,7 +119,7 @@ void BM_RdGbgStrategy(benchmark::State& state) {
 
 // strategy:4 is kAuto — the row that must never lose to the best of the
 // forced strategies by more than noise, and must beat forced-flat
-// wherever a tree or the surface index is ahead.
+// wherever a tree is ahead.
 BENCHMARK(BM_RdGbgStrategy)
     ->ArgNames({"n", "d", "strategy"})
     ->ArgsProduct({{2000, 20000}, {2, 4, 8, 12}, {0, 1, 2, 4}})
@@ -130,10 +128,10 @@ BENCHMARK(BM_RdGbgStrategy)
 
 // The structured regime: rotated informative-subspace data — low
 // intrinsic dimensionality (EffectiveDimension ≈ 3.5) at any ambient d,
-// the geometry real tabular data occupies. Here tree pruning survives
-// past the isotropic d~6 wall (KD-tree 1.6× ahead of flat at d=8), and
-// kAuto's d_eff gate must detect it and pick the tree where forced-flat
-// loses.
+// the geometry real tabular data occupies. Tree pruning survives here
+// past the isotropic d~6 wall, yet the fused flat scan still wins at
+// d=8 and d=16, so kAuto reads no structure and stays flat; these rows
+// keep that call under measurement.
 const Dataset& CachedStructured(int n, int d) {
   static std::map<std::pair<int, int>, Dataset> cache;
   const auto key = std::make_pair(n, d);

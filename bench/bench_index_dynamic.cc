@@ -11,12 +11,6 @@
 //                         amortized while its pruning holds, so the gap
 //                         widens with n and closes with d — the ball-tree
 //                         closes later than the KD-tree.
-//   BM_SurfaceGapDrain  — RD-GBG's conflict-radius shape: ball i is
-//                         queried for min_j<i (dist − r_j), then
-//                         inserted — exactly the r_conf pass's
-//                         interleaving. strategy:0 is the flat gap scan
-//                         (O(B²) total), strategy:3 the incremental
-//                         BallSurfaceIndex (sublinear per query).
 //   BM_CenterSurfaceKnn — GB-kNN's center shape: KNearestSurface over a
 //                         fixed clustered center set (strategy 0/1/2),
 //                         isolating the center-scan crossover out to the
@@ -41,7 +35,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <limits>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -51,7 +44,6 @@
 #include "bench_json.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
-#include "index/ball_surface_index.h"
 #include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/gb_knn.h"
@@ -157,14 +149,14 @@ BENCHMARK(BM_DrainKnn)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Granulation-shaped balls for the surface workloads: clustered centers
-// (balls live where the data lives) with small radii, so the index sees
-// the geometry the r_conf pass actually produces. Two regimes:
+// Granulation-shaped balls for the center-scan workloads: clustered
+// centers (balls live where the data lives) with small radii, so the
+// index sees the geometry a fitted GB-kNN model carries. Two regimes:
 // isotropic Gaussian blobs (every dimension carries independent signal —
 // distance concentration at its worst), and rotated
 // informative-subspace data (low intrinsic dimensionality at any
 // ambient d, EffectiveDimension ≈ 3.5 — the structure real tabular
-// data carries, and the regime kAuto's d_eff gate detects).
+// data carries, and the regime GB-kNN's d_eff gate detects).
 struct BallSet {
   Matrix centers;
   std::vector<double> radii;
@@ -206,47 +198,6 @@ const BallSet& CachedBalls(int m, int d, bool structured = false) {
   }
   return it->second;
 }
-
-// The r_conf interleaving, isolated: for every ball, query the minimum
-// surface gap against the balls generated before it, then insert it.
-void BM_SurfaceGapDrain(benchmark::State& state) {
-  const int m = static_cast<int>(state.range(0));
-  const int d = static_cast<int>(state.range(1));
-  const bool use_index = state.range(2) != 0;
-  const BallSet& balls = CachedBalls(m, d);
-
-  for (auto _ : state) {
-    double sink = 0.0;
-    if (use_index) {
-      BallSurfaceIndex index(d);
-      for (int i = 0; i < m; ++i) {
-        sink += index.MinSurfaceGap(balls.centers.Row(i));
-        index.Insert(balls.centers.Row(i), balls.radii[i]);
-      }
-    } else {
-      // The flat gap scan, serial (the strategies compare
-      // algorithmically; the real pass parallelizes the flat fill).
-      for (int i = 0; i < m; ++i) {
-        const double* q = balls.centers.Row(i);
-        double best = std::numeric_limits<double>::infinity();
-        for (int j = 0; j < i; ++j) {
-          best = std::min(best,
-                          EuclideanDistance(q, balls.centers.Row(j), d) -
-                              balls.radii[j]);
-        }
-        sink += best;
-      }
-    }
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * m);
-}
-
-BENCHMARK(BM_SurfaceGapDrain)
-    ->ArgNames({"n", "d", "strategy"})
-    ->ArgsProduct({{2000, 8000, 32000}, {2, 10}, {0, 3}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 // GB-kNN's center scan in isolation: KNearestSurface (k=3) over a fixed
 // clustered center set, per strategy, out to dimensionalities where the

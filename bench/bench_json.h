@@ -32,7 +32,9 @@ namespace benchjson {
 
 /// The one strategy-axis encoding shared by every suite and by the JSON
 /// reporter's name mapping below: 0 flat, 1 tree (KD), 2 balltree,
-/// 3 surface (BallSurfaceIndex vs flat gap scan), 4 auto, 5 sampled.
+/// 4 auto, 5 sampled. 3 is retired (it named a deleted r_conf index);
+/// the other values keep their numbers so older BENCH_*.json rows stay
+/// comparable.
 inline IndexStrategy StrategyFromAxis(int value) {
   switch (value) {
     case 1:
@@ -101,8 +103,6 @@ class JsonRowReporter : public benchmark::ConsoleReporter {
         return "tree";
       case 2:
         return "balltree";
-      case 3:
-        return "surface";
       case 4:
         return "auto";
       case 5:

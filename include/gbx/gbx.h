@@ -44,7 +44,6 @@
 // component: brute-force scan, static KD-tree, and a deletion-capable
 // dynamic KD-tree, one NeighborIndex interface plus the flat/tree
 // strategy knob.
-#include "index/ball_surface_index.h"  // IWYU pragma: export
 #include "index/ball_tree.h"       // IWYU pragma: export
 #include "index/brute_force.h"     // IWYU pragma: export
 #include "index/dynamic_kd_tree.h" // IWYU pragma: export

@@ -12,7 +12,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/scaler.h"
-#include "index/ball_surface_index.h"
 #include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "index/neighbor_index.h"
@@ -419,9 +418,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   std::vector<DistEntry> top;  // flat scan: the candidate's K nearest
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
-  // (simd::MinSurfaceGap), maintained only while the flat scan is live
-  // — the BallSurfaceIndex takes over past surface_threshold and the
-  // mirror stops growing.
+  // (simd::MinSurfaceGap); every new ball is appended to it.
   SoaMatrix ball_centers_soa(p);
   std::vector<double> ball_radii;
 
@@ -431,7 +428,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   // rows, kTree prunes with axis-aligned boxes, kBallTree with the
   // triangle inequality (better at moderate dimensionality).
   const IndexStrategy strategy =
-      ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads, &x);
+      ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads);
   std::unique_ptr<DynamicKdTree> utree;
   std::unique_ptr<BallTree> ubtree;
   std::unique_ptr<ResidentU> uflat;
@@ -442,13 +439,6 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   } else {
     uflat = std::make_unique<ResidentU>(x);
   }
-  // The r_conf pass switches from the flat per-ball gap scan to the
-  // insert-capable BallSurfaceIndex once this many balls exist
-  // (kSurfaceIndexNever = stay flat). Both compute the identical
-  // min-gap double, so the switch is invisible in the output.
-  const int surface_threshold =
-      ResolveRdGbgSurfaceThreshold(config.index_strategy, threads);
-  std::unique_ptr<BallSurfaceIndex> surface;
   std::vector<int> removed_now;  // U-departures of the current candidate
   const std::size_t initial_block =
       std::max<std::size_t>(static_cast<std::size_t>(rho), 32);
@@ -553,20 +543,14 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
         // Conflict radius r_conf(c): gap to the nearest existing ball
         // (Eq.4) — min_i(dist(c, center_i) − radius_i). min() over
-        // doubles is exact whatever the evaluation order, so the three
-        // schedules below — the sublinear BallSurfaceIndex query and
-        // the chunked parallel flat scan at any thread count — all
-        // produce the identical double.
+        // doubles is exact whatever the evaluation order, so the chunked
+        // parallel scan produces the identical double at any thread
+        // count.
         std::chrono::steady_clock::time_point rconf_start;
         if (metrics_on) rconf_start = std::chrono::steady_clock::now();
         double r_conf = std::numeric_limits<double>::infinity();
         const int nballs = static_cast<int>(balls.size());
-        if (surface != nullptr) {
-          // The index mirrors `balls` exactly (every push below inserts)
-          // and evaluates the same EuclideanDistance − radius expression
-          // at its leaves.
-          r_conf = surface->MinSurfaceGap(cx);
-        } else if (nballs > 0) {
+        if (nballs > 0) {
           // Deterministic parallel min-reduction: each chunk owns a
           // disjoint ball range and writes its own min; the chunk mins
           // are folded in chunk order. The chunk layout depends only on
@@ -632,25 +616,9 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           set_state(idx, SampleState::kCovered);
         }
         GBX_CHECK_GE(ball.size(), 2);
+        ball_centers_soa.AppendRow(ball.center.data());
+        ball_radii.push_back(ball.radius);
         balls.push_back(std::move(ball));
-        // Keep the surface index an exact mirror of `balls`: insert the
-        // new ball, or stand the index up once the ball count crosses
-        // the strategy threshold (backfilling everything generated so
-        // far).
-        if (surface != nullptr) {
-          const GranularBall& added = balls.back();
-          surface->Insert(added.center.data(), added.radius);
-        } else if (static_cast<int>(balls.size()) >= surface_threshold) {
-          surface = std::make_unique<BallSurfaceIndex>(p);
-          for (const GranularBall& gb : balls) {
-            surface->Insert(gb.center.data(), gb.radius);
-          }
-        } else {
-          // Flat r_conf stays live: grow its SoA mirror in lockstep.
-          const GranularBall& added = balls.back();
-          ball_centers_soa.AppendRow(added.center.data());
-          ball_radii.push_back(added.radius);
-        }
       };
 
       // Tree strategies share one shape: stream neighbors from the tree,

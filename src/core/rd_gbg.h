@@ -56,16 +56,13 @@ struct RdGbgConfig {
   /// tombstone deletions (asymptotically cheaper from ~4k samples in
   /// indexable dimensionality), kBallTree a metric ball-tree whose
   /// triangle-inequality pruning extends tree wins to moderate
-  /// dimensionality, kAuto picks by n and dims
-  /// (index/index_strategy.h). The same knob drives the conflict-radius
-  /// pass: any tree strategy (and kAuto past a measured ball count)
-  /// routes r_conf through an incremental BallSurfaceIndex over the
-  /// generated balls instead of the flat per-ball gap scan. Every
-  /// strategy consumes the identical (dist2, index)-ordered neighbor
-  /// sequence and computes the identical r_conf double, so the
-  /// granulation output is bit-identical whichever is chosen — the knob
-  /// trades wall-clock only. Also selects GB-kNN's ball-center scan
-  /// (ml/gb_knn.h).
+  /// dimensionality, kAuto picks by n, dims and the worker count
+  /// (index/index_strategy.h). The conflict-radius pass ignores the
+  /// knob: it is always the fused flat gap scan over the generated
+  /// balls. Every strategy consumes the identical (dist2, index)-ordered
+  /// neighbor sequence, so the granulation output is bit-identical
+  /// whichever is chosen — the knob trades wall-clock only. Also selects
+  /// GB-kNN's ball-center scan (ml/gb_knn.h).
   IndexStrategy index_strategy = IndexStrategy::kAuto;
 };
 

@@ -16,33 +16,15 @@ namespace {
 // the thread pool while a tree query is serial, so the d<=4 tier
 // (3.6× single-thread margin) only engages up to kRdGbgTreeMaxThreads
 // workers; the d<=2 tier's ~9× margin outruns typical thread scaling
-// and stays on.
+// and stays on. Past d=4 the fused flat scan wins even on data with a
+// low intrinsic dimension (BM_RdGbgStructured, n=20k, 1 thread: flat
+// 1.2× ahead of the KD-tree at d=8, 1.9× at d=16), so no tier reads the
+// data's structure.
 constexpr int kRdGbgTreeMaxDimsLow = 2;    // KD-tree from kRdGbgTreeMinPoints
 constexpr int kRdGbgTreeMaxDimsHigh = 4;   // KD-tree from kRdGbgTreeBigPoints
 constexpr int kRdGbgTreeMinPoints = 4096;
 constexpr int kRdGbgTreeBigPoints = 16384;
 constexpr int kRdGbgTreeMaxThreads = 4;  // for the d<=4 tier only
-// Structure-gated tier: on isotropic data past d~6, distance
-// concentration hands the flat parallel scan the win and no gate can
-// help; but when the data's EffectiveDimension certifies a
-// low-dimensional cloud (rotated informative-subspace geometry:
-// d_eff ≈ 3.5 at any ambient d, vs 6.5–12 for isotropic blobs), tree
-// pruning keeps working — measured, KD-tree 1.5× ahead of flat at
-// (n=20k, d=8) and 1.85× at d=16 where blobs have the tree behind.
-// The tier stops at d=16 (the measured grid's edge) and at 2 workers
-// because the single-thread edge is modest.
-constexpr int kRdGbgStructDims = 16;
-constexpr double kRdGbgStructMaxEffDims = 5.0;
-constexpr int kRdGbgStructMaxThreads = 2;
-// r_conf surface pass: the flat gap scan is O(B) per candidate but
-// parallelized; a BallSurfaceIndex query is serial and sublinear.
-// Measured (bench_index_dynamic BM_SurfaceGapDrain, 1 core): the index
-// is ahead of the serial flat scan from ~2k balls at every measured d
-// (4.0× at 2k / 7.3× at 8k / 19× at 32k for d=2; 1.8× / 1.4× / 2.5×
-// for d=10), so one worker switches early; big pools amortize the flat
-// scan better, so the threshold scales with the worker count.
-constexpr int kSurfaceMinBallsSerial = 512;
-constexpr int kSurfaceMinBallsPerThread = 512;
 // GB-kNN center scan (KNearestSurface): the KD-tree tier is measured at
 // ~4k balls for d<=16 on clustered blob centers (2.6× ahead at 16k
 // balls, d=8; behind from d=16 on isotropic centers but 5–8× ahead on
@@ -136,8 +118,7 @@ bool ParseIndexStrategy(const std::string& text, IndexStrategy* out) {
 }
 
 IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
-                                        int dims, int num_threads,
-                                        const Matrix* points) {
+                                        int dims, int num_threads) {
   // Granulation is always exact: an approximate candidate scan would
   // change the balls — and therefore the model bytes — so a kSampled
   // request degrades to kAuto here and only takes effect at inference
@@ -148,34 +129,7 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
       (dims <= kRdGbgTreeMaxDimsLow && n >= kRdGbgTreeMinPoints) ||
       (dims <= kRdGbgTreeMaxDimsHigh && n >= kRdGbgTreeBigPoints &&
        num_threads <= kRdGbgTreeMaxThreads);
-  if (kd_tree) return IndexStrategy::kTree;
-  // The moderate-d tier pays one EffectiveDimension scan (O(2k · d²),
-  // microseconds against a granulation that is seconds at this n) only
-  // once the unconditional size/dims gates pass.
-  const bool structured_candidate =
-      points != nullptr && dims > kRdGbgTreeMaxDimsHigh &&
-      dims <= kRdGbgStructDims && n >= kRdGbgTreeBigPoints &&
-      num_threads <= kRdGbgStructMaxThreads;
-  if (structured_candidate &&
-      EffectiveDimension(*points) <= kRdGbgStructMaxEffDims) {
-    return IndexStrategy::kTree;
-  }
-  return IndexStrategy::kFlat;
-}
-
-int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int num_threads) {
-  switch (requested) {
-    case IndexStrategy::kFlat:
-      return kSurfaceIndexNever;
-    case IndexStrategy::kTree:
-    case IndexStrategy::kBallTree:
-      return 0;
-    case IndexStrategy::kAuto:
-    case IndexStrategy::kSampled:  // exact during granulation, like kAuto
-      break;
-  }
-  if (num_threads <= 1) return kSurfaceMinBallsSerial;
-  return kSurfaceMinBallsPerThread * num_threads;
+  return kd_tree ? IndexStrategy::kTree : IndexStrategy::kFlat;
 }
 
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,

@@ -5,9 +5,10 @@
 // axis-aligned-box pruning degrades toward a linear scan as
 // dimensionality grows (distance concentration). The ball-tree's
 // triangle-inequality pruning follows the data's intrinsic structure
-// instead of coordinate boxes, which extends tree wins into the
-// moderate-d regime where the KD-tree already lost — so each call site
-// picks from its own measured crossover surface. Every strategy produces
+// instead of coordinate boxes, which extends GB-kNN's center-scan tree
+// wins into the moderate-d regime where the KD-tree already lost; RD-GBG
+// granulation's kAuto never picks it. Each call site picks from its own
+// measured crossover surface. Every strategy produces
 // bit-identical results (enforced by thread_determinism_test); the knob
 // trades wall-clock only, which is why it is runtime state and never
 // persisted into model artifacts.
@@ -52,38 +53,20 @@ bool ParseIndexStrategy(const std::string& text, IndexStrategy* out);
 /// subspace however it is oriented. This is the cheap signal that
 /// separates "distance concentration kills tree pruning" (d_eff tracks
 /// the ambient d) from "real structure, trees keep winning" (d_eff
-/// stays small as d grows), and it gates kAuto's moderate-d tree tiers
-/// below. Returns dims for degenerate inputs (< 2 rows, zero variance).
+/// stays small as d grows), and it gates GB-kNN's moderate-d ball-tree
+/// tier below. Returns dims for degenerate inputs (< 2 rows, zero
+/// variance).
 double EffectiveDimension(const Matrix& points);
 
 /// Resolution for RD-GBG's per-candidate neighbor pass over the shrinking
-/// undivided set. The unconditional KD-tree tiers are unchanged from
-/// PR 4: tree at d<=2 from ~4k samples; at d<=4 from ~16k but only up to
-/// 4 worker threads, because the flat scan it replaces parallelizes over
-/// the pool while a tree query is serial. A third tier extends the tree
-/// to moderate ambient dimensionality (d<=16 from ~16k samples) when the
-/// measured EffectiveDimension of `points` (pass the scaled feature
-/// matrix; nullptr disables the tier) certifies low intrinsic
-/// dimensionality — measured on rotated informative-subspace data the
-/// KD-tree is 1.6× ahead of the flat scan at d=8 where isotropic data
-/// hands the flat scan the win. Thresholds in index_strategy.cc.
-/// `num_threads` is the resolved worker count (common/parallel.h).
+/// undivided set, from (n, dims, num_threads) alone: KD-tree at d<=2 from
+/// ~4k samples; at d<=4 from ~16k but only up to 4 worker threads,
+/// because the flat scan it replaces parallelizes over the pool while a
+/// tree query is serial; the fused flat scan everywhere else.
+/// Thresholds in index_strategy.cc. `num_threads` is the resolved worker
+/// count (common/parallel.h).
 IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
-                                        int dims, int num_threads,
-                                        const Matrix* points = nullptr);
-
-/// The ball count at which GenerateRdGbg's conflict-radius (r_conf) pass
-/// switches from the flat parallel gap scan to the incremental
-/// BallSurfaceIndex, or kSurfaceIndexNever to stay flat for the whole
-/// run. kFlat never switches; kTree/kBallTree switch immediately (the
-/// explicit request is also what drives the bit-identity test axes
-/// through the index); kAuto switches once enough balls have accumulated
-/// that the index's sublinear query beats the parallelized O(B) scan —
-/// sooner on one worker than on many, since the flat scan parallelizes
-/// and an index query is serial. The measured crossover is
-/// d-independent on the tested grid, so the dimension does not enter.
-int ResolveRdGbgSurfaceThreshold(IndexStrategy requested, int num_threads);
-inline constexpr int kSurfaceIndexNever = 0x7fffffff;
+                                        int dims, int num_threads);
 
 /// Resolution for GB-kNN's per-query scan over ball centers
 /// (KNearestSurface): KD-tree from ~4k balls up to d=16; past that

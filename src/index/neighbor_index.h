@@ -57,13 +57,12 @@ void OfferToBoundedHeap(std::vector<T>* heap, const T& cand, int k) {
 
 /// Smallest squared distance from `query` to the axis-aligned box
 /// [lo, hi] (0 inside), summed dimension 0..d-1 — the SAME summation
-/// order as SquaredDistance. That shared order is load-bearing: every
-/// box-pruned index (DynamicKdTree, BallSurfaceIndex)
-/// relies on the box distance dominating each member's SquaredDistance
-/// term by term in identical order, which is what makes pruning
-/// floating-point-exact. Keeping the one copy here is what lets that
-/// argument rest on a single piece of code, exactly like
-/// OfferToBoundedHeap below.
+/// order as SquaredDistance. That shared order is load-bearing: the
+/// box-pruned DynamicKdTree relies on the box distance dominating each
+/// member's SquaredDistance term by term in identical order, which is
+/// what makes its pruning floating-point-exact. It lives next to
+/// OfferToBoundedHeap so that argument sits beside the other exactness
+/// contracts of this interface.
 inline double BoxMinSquaredDistance(const double* lo, const double* hi,
                                     const double* query, int d) {
   double s = 0.0;

@@ -3,7 +3,7 @@
 // estimator (isotropic clouds read as ~d, embedded low-dimensional
 // subspaces read as ~their dimension regardless of ambient d or
 // orientation), and the kAuto tier semantics — size gates, thread
-// scaling, and the d_eff structure gate that separates "distance
+// scaling, and GB-kNN's d_eff structure gate that separates "distance
 // concentration, stay flat" from "real structure, keep the tree".
 #include <string>
 
@@ -105,48 +105,19 @@ TEST(ResolveRdGbgTest, UnconditionalKdTiersMatchPr4) {
             IndexStrategy::kFlat);
 }
 
-TEST(ResolveRdGbgTest, StructureGateEngagesOnlyOnLowEffectiveDimension) {
-  const Matrix structured = EmbeddedSubspace(20000, 8, 3, 0.05, 3);
-  const Matrix isotropic = IsotropicCloud(20000, 8, 4);
-  // Structured moderate-d data flips the tree on, out to d=16 ...
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1,
-                                      &structured),
-            IndexStrategy::kTree);
-  const Matrix structured16 = EmbeddedSubspace(20000, 16, 3, 0.05, 9);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 16, 1,
-                                      &structured16),
-            IndexStrategy::kTree);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 17, 1,
-                                      &structured16),
-            IndexStrategy::kFlat);
-  // ... isotropic data, a big pool, a small n, or no matrix keep it off.
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1,
-                                      &isotropic),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 8,
-                                      &structured),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 8000, 8, 1,
-                                      &structured),
-            IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, 8, 1),
-            IndexStrategy::kFlat);
-}
-
-TEST(ResolveSurfaceThresholdTest, PerStrategySemantics) {
-  // kFlat never switches, explicit tree strategies switch immediately —
-  // that is what routes the bit-identity suites through the index.
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kFlat, 1),
-            kSurfaceIndexNever);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kTree, 8), 0);
-  EXPECT_EQ(ResolveRdGbgSurfaceThreshold(IndexStrategy::kBallTree, 8), 0);
-  // kAuto scales with the worker count (the flat scan parallelizes, an
-  // index query is serial) and never disables entirely.
-  const int serial = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 1);
-  const int pool = ResolveRdGbgSurfaceThreshold(IndexStrategy::kAuto, 8);
-  EXPECT_GT(serial, 0);
-  EXPECT_GE(pool, serial);
-  EXPECT_LT(pool, kSurfaceIndexNever);
+TEST(ResolveRdGbgTest, ModerateDimsStayFlatWhateverTheStructure) {
+  // Past d=4 the fused flat scan beats the KD-tree on isotropic and on
+  // low-intrinsic-dimension data alike, so kAuto resolves from
+  // (n, dims, threads) alone and stays flat at a size where the trees
+  // would otherwise be candidates.
+  for (int dims : {8, 16}) {
+    for (int threads : {1, 2}) {
+      EXPECT_EQ(
+          ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 20000, dims, threads),
+          IndexStrategy::kFlat)
+          << "dims=" << dims << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ResolveCenterTest, SizeGate) {

@@ -63,6 +63,22 @@ Dataset HighDim(int n) {
   return MakeInformativeHighDim(cfg, &rng);
 }
 
+// Wide, many-cluster data: 48 tight clusters at d=512 turn into ~48
+// balls, so from the 33rd ball on the flat r_conf scan runs in more
+// than one chunk (ParallelGrain(512) = 16 balls) and past the pool's
+// work threshold, i.e. split across workers at every thread count >= 2.
+Dataset WideClusters(int n) {
+  BlobsConfig cfg;
+  cfg.num_samples = n;
+  cfg.num_classes = 3;
+  cfg.num_features = 512;
+  cfg.clusters_per_class = 16;
+  cfg.center_spread = 4.0;
+  cfg.cluster_std = 1.0;
+  Pcg32 rng(325);
+  return MakeGaussianBlobs(cfg, &rng);
+}
+
 // Every field of the granulation must match bit-for-bit: balls (members,
 // centers, radii, labels), noise, orphans, and the iteration count.
 void ExpectIdenticalGranulation(const RdGbgResult& a, const RdGbgResult& b,
@@ -87,7 +103,8 @@ Dataset PickDataset(int which) {
   return which == 0   ? OverlappingBlobs(900)
          : which == 1 ? Banana(800)
          : which == 2 ? Rings(800)
-                      : HighDim(700);
+         : which == 3 ? HighDim(700)
+                      : WideClusters(600);
 }
 
 class RdGbgThreadDeterminismTest : public ::testing::TestWithParam<int> {};
@@ -107,17 +124,15 @@ TEST_P(RdGbgThreadDeterminismTest, OutputIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgThreadDeterminismTest,
-                         ::testing::Range(0, 4));
+                         ::testing::Range(0, 5));
 
 // The index-strategy axis: every tree-backed neighbor pass — the
 // DynamicKdTree, and the metric BallTree — must reproduce the flat
 // scan's granulation exactly — same balls (centers, radii, members),
-// noise, orphans, iterations — at every thread count. Both tree
-// strategies also force the r_conf pass through the incremental
-// BallSurfaceIndex from the first ball (ResolveRdGbgSurfaceThreshold),
-// so this suite is simultaneously the end-to-end bit-identity check for
-// the surface index against the flat parallel gap scan the kFlat
-// reference uses. This equality contract is what makes
+// noise, orphans, iterations — at every thread count. The r_conf pass
+// is the chunked flat gap scan under every strategy; on WideClusters it
+// splits across workers in the tree runs while the single-thread kFlat
+// reference folds it serially. This equality contract is what makes
 // RdGbgConfig::index_strategy a pure wall-clock knob that kAuto may
 // flip freely by problem size.
 class RdGbgStrategyEquivalenceTest : public ::testing::TestWithParam<int> {};
@@ -142,7 +157,7 @@ TEST_P(RdGbgStrategyEquivalenceTest, TreeStrategiesMatchFlatBitForBit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgStrategyEquivalenceTest,
-                         ::testing::Range(0, 4));
+                         ::testing::Range(0, 5));
 
 // GB-kNN's ball-center scan has the same contract: both center tree
 // backends and the flat scan must vote out identical labels for every
