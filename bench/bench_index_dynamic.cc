@@ -16,7 +16,8 @@
 //                         isolating the center-scan crossover out to the
 //                         dimensionalities where box pruning has died.
 //   BM_GbKnnPredict     — end-to-end GB-kNN inference: a fitted model
-//                         serving a query batch under each strategy.
+//                         serving a query batch under each strategy
+//                         (strategy:0/1/2 as above, strategy:4 kAuto).
 //   BM_CenterScanPairwise / BM_CenterScanKernel — the surface-score
 //                         scan itself: the per-pair EuclideanDistance
 //                         loop GB-kNN used through PR 5 vs the batched
@@ -25,13 +26,11 @@
 //                         3 avx512; unsupported levels skip). The
 //                         kernel speedup table in README comes from
 //                         these rows.
-//   BM_GbKnnPredictSampled — the approximate tier's recall/speed curve:
-//                         kSampled at recall ∈ {0.5, 0.9, 0.99, 1.0}.
 //
 // kAuto's thresholds in index/index_strategy.cc are picked from these
 // curves. Every strategy produces bit-identical results, so rows differ
 // only in wall time. --json=FILE additionally writes the rows as a flat
-// JSON array (bench_json.h) — the BENCH_pr5.json perf trajectory.
+// JSON array (bench_json.h) — the BENCH_*.json perf trajectory.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -383,9 +382,7 @@ void BM_GbKnnPredict(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * queries.size());
 }
 
-// strategy:4 is kAuto, strategy:5 kSampled at its default recall 1.0
-// (the bit-identical configuration — the speed curve below recall 1 is
-// BM_GbKnnPredictSampled's). Re-measured under GBX_THREADS ∈ {1, 4, 8},
+// strategy:4 is kAuto. Re-measured under GBX_THREADS ∈ {1, 4, 8},
 // the strategy margins (and therefore kAuto's pick) are
 // thread-invariant — batch prediction parallelizes over queries for
 // every strategy — which is exactly why ResolveCenterIndexStrategy
@@ -393,30 +390,7 @@ void BM_GbKnnPredict(benchmark::State& state) {
 // index_strategy.cc).
 BENCHMARK(BM_GbKnnPredict)
     ->ArgNames({"n", "strategy"})
-    ->ArgsProduct({{1000, 5000, 20000}, {0, 1, 2, 4, 5}})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// The approximate tier's speed side (tests/recall_test.cc measures the
-// recall side): kSampled at recall ∈ {0.5, 0.9, 0.99, 1.0} — the
-// `recall` axis is percent.
-void BM_GbKnnPredictSampled(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int recall_pct = static_cast<int>(state.range(1));
-  GbKnnClassifier model = CachedModel(n, IndexStrategy::kSampled);
-  model.set_recall_target(recall_pct / 100.0);
-  const Dataset& queries = CachedBlobs(2000);
-  for (auto _ : state) {
-    const std::vector<int> out = model.PredictBatch(queries.x());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.counters["balls"] = model.num_balls();
-  state.SetItemsProcessed(state.iterations() * queries.size());
-}
-
-BENCHMARK(BM_GbKnnPredictSampled)
-    ->ArgNames({"n", "recall"})
-    ->ArgsProduct({{20000}, {50, 90, 99, 100}})
+    ->ArgsProduct({{1000, 5000, 20000}, {0, 1, 2, 4}})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -32,9 +32,9 @@ namespace benchjson {
 
 /// The one strategy-axis encoding shared by every suite and by the JSON
 /// reporter's name mapping below: 0 flat, 1 tree (KD), 2 balltree,
-/// 4 auto, 5 sampled. 3 is retired (it named a deleted r_conf index);
-/// the other values keep their numbers so older BENCH_*.json rows stay
-/// comparable.
+/// 4 auto. 3 and 5 are retired (3 named a deleted r_conf index, 5 the
+/// deleted approximate "sampled" tier); the other values keep their
+/// numbers so older BENCH_*.json rows stay comparable.
 inline IndexStrategy StrategyFromAxis(int value) {
   switch (value) {
     case 1:
@@ -43,8 +43,6 @@ inline IndexStrategy StrategyFromAxis(int value) {
       return IndexStrategy::kBallTree;
     case 4:
       return IndexStrategy::kAuto;
-    case 5:
-      return IndexStrategy::kSampled;
     default:
       return IndexStrategy::kFlat;
   }
@@ -105,8 +103,6 @@ class JsonRowReporter : public benchmark::ConsoleReporter {
         return "balltree";
       case 4:
         return "auto";
-      case 5:
-        return "sampled";
     }
     return "unknown";
   }

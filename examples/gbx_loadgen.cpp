@@ -25,13 +25,6 @@
 //                           a failure breakdown: ok / shed (UNAVAILABLE
 //                           overload replies) / deadline_expired
 //                           (DEADLINE_EXCEEDED) / transport / other.
-//                           "ok" replies tagged "degraded recall=F" by
-//                           the server's degradation ladder are counted
-//                           as a `degraded` outcome class and bucketed
-//                           into a served-quality histogram (count per
-//                           recall level) printed next to the latency
-//                           report — an overload run shows quality
-//                           shifting down the ladder before sheds start.
 //                           --deadline-ms attaches "timeout_ms=T" to
 //                           every request; --retries R retries shed,
 //                           deadline-expired, and transport failures up
@@ -63,7 +56,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -489,12 +481,8 @@ int RunOpenLoop(const Args& args) {
   // everything else so an overload experiment can tell "the server
   // protected itself" apart from "something broke".
   std::atomic<long long> shed{0}, deadline_expired{0}, transport{0},
-      other_errors{0}, retries_spent{0}, degraded{0};
+      other_errors{0}, retries_spent{0};
   std::vector<std::vector<double>> latencies_ms(connections);
-  // Served-quality histogram: recall level (the server's wire tag text,
-  // "1.00" for full-quality replies) -> count. Per-connection maps are
-  // merged after the join, so no lock on the hot path.
-  std::vector<std::map<std::string, long long>> quality(connections);
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<std::thread> threads;
@@ -554,19 +542,6 @@ int RunOpenLoop(const Args& args) {
                     std::chrono::steady_clock::now() - due)
                     .count();
             latencies_ms[c].push_back(ms);
-            // A reduced-quality answer is still an answer: it records
-            // latency like any ok reply, and additionally lands in the
-            // degraded class + the served-quality histogram.
-            const std::size_t tag = r.find(" degraded recall=");
-            if (tag != std::string::npos) {
-              degraded.fetch_add(1);
-              std::string level = r.substr(tag + std::strlen(" degraded recall="));
-              const std::size_t sp = level.find(' ');
-              if (sp != std::string::npos) level.resize(sp);
-              ++quality[c][level];
-            } else {
-              ++quality[c]["1.00"];
-            }
             break;
           }
           if (r.rfind("error UNAVAILABLE", 0) == 0) {
@@ -605,26 +580,14 @@ int RunOpenLoop(const Args& args) {
   std::printf("completed %lld requests in %.3f s (achieved %.0f qps)\n",
               ok_count, elapsed_s,
               elapsed_s > 0 ? ok_count / elapsed_s : 0.0);
-  std::printf("outcomes: ok %lld (degraded %lld), shed %lld, "
+  std::printf("outcomes: ok %lld, shed %lld, "
               "deadline_expired %lld, transport %lld, other %lld "
               "(retries %lld)\n",
-              ok_count, degraded.load(), shed.load(), deadline_expired.load(),
+              ok_count, shed.load(), deadline_expired.load(),
               transport.load(), other_errors.load(), retries_spent.load());
   std::printf("latency (from scheduled send): p50 %.3f ms, p99 %.3f ms, "
               "max %.3f ms\n",
               pct(0.50), pct(0.99), all.empty() ? 0.0 : all.back());
-  // Quality histogram: how many answers were served at each recall
-  // level. A healthy run is one "recall 1.00" line; an overload run
-  // shows mass shifting toward the ladder floor.
-  std::map<std::string, long long> quality_all;
-  for (const auto& m : quality) {
-    for (const auto& [level, n] : m) quality_all[level] += n;
-  }
-  std::printf("served quality:");
-  for (auto it = quality_all.rbegin(); it != quality_all.rend(); ++it) {
-    std::printf(" recall %s x %lld", it->first.c_str(), it->second);
-  }
-  std::printf("%s\n", quality_all.empty() ? " (no ok replies)" : "");
   if (args.print_server_metrics) {
     const StatusOr<std::string> scrape =
         FetchAdminReply(args, "!metrics json");

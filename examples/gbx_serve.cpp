@@ -39,13 +39,14 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/num_text.h"
 #include "data/csv.h"
 #include "data/paper_suite.h"
 #include "index/index_strategy.h"
@@ -71,7 +72,7 @@ struct Args {
   std::string dump_predictions;
   int max_samples = 1200;
   int k = -1;  // -1 = per-model default (1 for gb-knn, 5 for knn)
-  int rho = 5;
+  int rho = 5;  // RD-GBG density tolerance, >= 2
   std::uint64_t seed = 7;
   double holdout = 0.3;
   int batch = 64;
@@ -85,21 +86,13 @@ struct Args {
   int workers = 0;  // <= 0: GBX_THREADS / hardware
   std::vector<std::string> registers;  // repeated --register name=path
   double idle_timeout_ms = 0.0;
-  long max_queue = -1;     // < 0: ServerOptions default; 0 disables
-  long max_inflight = -1;  // per-connection cap; same convention
+  int max_queue = -1;     // < 0: ServerOptions default; 0 disables
+  int max_inflight = -1;  // per-connection cap; same convention
   int metrics_dump_sec = 0;  // > 0: periodic Prometheus dump to stderr
   double slow_trace_ms = -1.0;  // < 0: ServerOptions default
   // Runtime-only ball-center scan strategy for GB-kNN (never persisted
-  // in the artifact): auto | flat | tree | balltree | sampled.
+  // in the artifact): auto | flat | tree | balltree.
   IndexStrategy index_strategy = IndexStrategy::kAuto;
-  // Target recall of the sampled strategy, in (0, 1]; 1.0 = exact.
-  double recall = 1.0;
-  // Graceful degradation (serve subcommand): "off" (default) or "auto".
-  std::string degrade = "off";
-  // Ladder floor for per-request recall under --degrade auto.
-  double min_recall = 0.5;
-  // Controller tick period; < 0 keeps the DegradeOptions default.
-  double degrade_tick_ms = -1.0;
   // > 0 arms the worker watchdog (stall deadline in ms).
   double worker_stall_ms = 0.0;
 };
@@ -109,9 +102,9 @@ int Usage() {
       stderr,
       "usage:\n"
       "  gbx_serve train   --out FILE [--model gb-knn|knn] [--dataset S1..S13]\n"
-      "                    [--csv FILE] [--max-samples N] [--k N] [--rho N]\n"
-      "                    [--seed N] [--holdout F] [--dump-queries FILE]\n"
-      "                    [--dump-predictions FILE]\n"
+      "                    [--csv FILE] [--max-samples N] [--k N (>= 1)]\n"
+      "                    [--rho N (>= 2)] [--seed N] [--holdout F]\n"
+      "                    [--dump-queries FILE] [--dump-predictions FILE]\n"
       "  gbx_serve predict --model-file FILE [--csv FILE] [--batch N]\n"
       "                    [--delay-ms X] [--stats]   (queries on stdin)\n"
       "  gbx_serve bench   --model-file FILE [--seconds X] [--callers N]\n"
@@ -124,32 +117,78 @@ int Usage() {
       "                    [--metrics-dump-sec N]  (periodic Prometheus dump\n"
       "                    to stderr) [--slow-trace-ms X]  (span-tree log\n"
       "                    threshold; 0 = off)\n"
-      "                    [--degrade auto|off]  (overload recall ladder;\n"
-      "                    default off) [--min-recall F]  (ladder floor,\n"
-      "                    (0,1], default 0.5) [--degrade-tick-ms X]\n"
       "                    [--worker-stall-ms X]  (watchdog deadline;\n"
       "                    0 = off)\n"
       "  gbx_serve info    --model-file FILE\n"
-      "common: --index-strategy auto|flat|tree|balltree|sampled\n"
+      "common: --index-strategy auto|flat|tree|balltree\n"
       "        (GB-kNN center scan; runtime-only, artifacts never\n"
-      "        persist it)\n"
-      "        --recall F   (sampled strategy's target recall in (0,1];\n"
-      "        default 1.0 = exact; ignored by the other strategies)\n");
+      "        persist it)\n");
   return 2;
+}
+
+// Reads `text` as exactly one number token of type T (int, uint64 or
+// double): trailing characters, overflow, "nan" and "inf" all fail.
+template <typename T>
+bool ParseNumber(const char* text, T* out) {
+  NumScanner in(text);
+  bool read = false;
+  if constexpr (std::is_same_v<T, double>) {
+    read = in.ReadDouble(out);
+  } else if constexpr (std::is_same_v<T, int>) {
+    read = in.ReadInt(out);
+  } else {
+    read = in.ReadUint64(out);
+  }
+  return read && in.AtEnd();
+}
+
+bool Reject(const std::string& message) {
+  std::fprintf(stderr, "gbx_serve: %s\n",
+               Status::InvalidArgument(message).ToString().c_str());
+  return false;
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
     if (flag == "--stats") {
       args->stats = true;
-    } else if (!(v = next())) {
-      std::fprintf(stderr, "gbx_serve: %s needs a value\n", flag.c_str());
-      return false;
+      continue;
+    }
+    if (i + 1 >= argc) return Reject(flag + " needs a value");
+    const char* v = argv[++i];
+    // Numeric flags: each must parse as one whole token.
+    int* int_flag = flag == "--max-samples"        ? &args->max_samples
+                    : flag == "--k"                ? &args->k
+                    : flag == "--rho"              ? &args->rho
+                    : flag == "--batch"            ? &args->batch
+                    : flag == "--callers"          ? &args->callers
+                    : flag == "--port"             ? &args->port
+                    : flag == "--workers"          ? &args->workers
+                    : flag == "--max-queue"        ? &args->max_queue
+                    : flag == "--max-inflight"     ? &args->max_inflight
+                    : flag == "--metrics-dump-sec" ? &args->metrics_dump_sec
+                                                   : nullptr;
+    double* double_flag =
+        flag == "--holdout"           ? &args->holdout
+        : flag == "--delay-ms"        ? &args->delay_ms
+        : flag == "--seconds"         ? &args->seconds
+        : flag == "--idle-timeout-ms" ? &args->idle_timeout_ms
+        : flag == "--slow-trace-ms"   ? &args->slow_trace_ms
+        : flag == "--worker-stall-ms" ? &args->worker_stall_ms
+                                      : nullptr;
+    if (int_flag != nullptr) {
+      if (!ParseNumber(v, int_flag)) {
+        return Reject(flag + " wants an integer, got '" + v + "'");
+      }
+    } else if (double_flag != nullptr) {
+      if (!ParseNumber(v, double_flag)) {
+        return Reject(flag + " wants a number, got '" + v + "'");
+      }
+    } else if (flag == "--seed") {
+      if (!ParseNumber(v, &args->seed)) {
+        return Reject(flag + " wants an integer, got '" + v + "'");
+      }
     } else if (flag == "--model") {
       args->model = v;
     } else if (flag == "--out") {
@@ -164,80 +203,29 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->dump_queries = v;
     } else if (flag == "--dump-predictions") {
       args->dump_predictions = v;
-    } else if (flag == "--max-samples") {
-      args->max_samples = std::atoi(v);
-    } else if (flag == "--k") {
-      args->k = std::atoi(v);
-    } else if (flag == "--rho") {
-      args->rho = std::atoi(v);
-    } else if (flag == "--seed") {
-      args->seed = std::strtoull(v, nullptr, 10);
-    } else if (flag == "--holdout") {
-      args->holdout = std::atof(v);
-    } else if (flag == "--batch") {
-      args->batch = std::atoi(v);
-    } else if (flag == "--delay-ms") {
-      args->delay_ms = std::atof(v);
-    } else if (flag == "--seconds") {
-      args->seconds = std::atof(v);
-    } else if (flag == "--callers") {
-      args->callers = std::atoi(v);
-    } else if (flag == "--port") {
-      args->port = std::atoi(v);
     } else if (flag == "--host") {
       args->host = v;
-    } else if (flag == "--workers") {
-      args->workers = std::atoi(v);
     } else if (flag == "--register") {
       args->registers.emplace_back(v);
-    } else if (flag == "--idle-timeout-ms") {
-      args->idle_timeout_ms = std::atof(v);
-    } else if (flag == "--max-queue") {
-      args->max_queue = std::atol(v);
-    } else if (flag == "--max-inflight") {
-      args->max_inflight = std::atol(v);
-    } else if (flag == "--metrics-dump-sec") {
-      args->metrics_dump_sec = std::atoi(v);
-    } else if (flag == "--slow-trace-ms") {
-      args->slow_trace_ms = std::atof(v);
     } else if (flag == "--index-strategy") {
       if (!ParseIndexStrategy(v, &args->index_strategy)) {
-        std::fprintf(stderr,
-                     "gbx_serve: --index-strategy wants "
-                     "auto|flat|tree|balltree|sampled, got '%s'\n",
-                     v);
-        return false;
+        return Reject(std::string("--index-strategy wants "
+                                  "auto|flat|tree|balltree, got '") +
+                      v + "'");
       }
-    } else if (flag == "--recall") {
-      args->recall = std::atof(v);
-      // Typed rejection, not clamping: shared with Server::Start()'s
-      // option validation so CLI and embedded callers agree.
-      if (const Status s = ValidateRecall(args->recall, "--recall");
-          !s.ok()) {
-        std::fprintf(stderr, "gbx_serve: %s\n", s.ToString().c_str());
-        return false;
-      }
-    } else if (flag == "--min-recall") {
-      args->min_recall = std::atof(v);
-      if (const Status s = ValidateRecall(args->min_recall, "--min-recall");
-          !s.ok()) {
-        std::fprintf(stderr, "gbx_serve: %s\n", s.ToString().c_str());
-        return false;
-      }
-    } else if (flag == "--degrade") {
-      args->degrade = v;
-      if (args->degrade != "auto" && args->degrade != "off") {
-        std::fprintf(stderr, "gbx_serve: --degrade wants auto|off, got '%s'\n",
-                     v);
-        return false;
-      }
-    } else if (flag == "--degrade-tick-ms") {
-      args->degrade_tick_ms = std::atof(v);
-    } else if (flag == "--worker-stall-ms") {
-      args->worker_stall_ms = std::atof(v);
     } else {
-      std::fprintf(stderr, "gbx_serve: unknown flag %s\n", flag.c_str());
-      return false;
+      return Reject("unknown flag " + flag);
+    }
+    // Range checks that would otherwise abort deep inside training or
+    // truncate silently.
+    if (flag == "--k" && args->k < 1) {
+      return Reject(std::string("--k must be >= 1, got ") + v);
+    }
+    if (flag == "--rho" && args->rho < 2) {
+      return Reject(std::string("--rho must be >= 2, got ") + v);
+    }
+    if (flag == "--port" && (args->port < 0 || args->port > 65535)) {
+      return Reject(std::string("--port must be in [0, 65535], got ") + v);
     }
   }
   return true;
@@ -349,20 +337,7 @@ StatusOr<LoadedModel> LoadModelAt(const std::string& path, const Args& args) {
     // apply this process's choice to the restored model.
     if (auto* gbknn =
             dynamic_cast<GbKnnClassifier*>(model->classifier.get())) {
-      IndexStrategy strategy = args.index_strategy;
-      if (args.degrade == "auto" && strategy != IndexStrategy::kSampled) {
-        // The degradation ladder lowers per-request recall through the
-        // sampled tier; other strategies would silently ignore it. At
-        // recall 1.0 the sampled tier scans every center, so this
-        // substitution costs nothing while the server is healthy.
-        strategy = IndexStrategy::kSampled;
-        std::fprintf(stderr,
-                     "gbx_serve: --degrade auto forces "
-                     "--index-strategy sampled for %s\n",
-                     path.c_str());
-      }
-      gbknn->set_index_strategy(strategy);
-      gbknn->set_recall_target(args.recall);
+      gbknn->set_index_strategy(args.index_strategy);
     }
   }
   return model;
@@ -562,11 +537,6 @@ int RunServe(const Args& args) {
         static_cast<std::uint64_t>(args.max_inflight);
   }
   if (args.slow_trace_ms >= 0.0) sopts.slow_trace_ms = args.slow_trace_ms;
-  sopts.degrade_auto = args.degrade == "auto";
-  sopts.degrade.min_recall = args.min_recall;
-  if (args.degrade_tick_ms > 0.0) {
-    sopts.degrade.tick_interval_ms = args.degrade_tick_ms;
-  }
   sopts.worker_stall_ms = args.worker_stall_ms;
   Server server(registry, sopts);
   const Status started = server.Start();
@@ -612,11 +582,8 @@ int RunServe(const Args& args) {
               static_cast<long long>(s.frames_received),
               static_cast<long long>(s.frames_sent),
               static_cast<long long>(s.protocol_errors));
-  std::printf("overload stats: %lld shed, %lld degraded, "
-              "%lld ladder transitions, %lld worker stalls\n",
+  std::printf("overload stats: %lld shed, %lld worker stalls\n",
               static_cast<long long>(s.requests_shed),
-              static_cast<long long>(s.requests_degraded),
-              static_cast<long long>(s.degrade_transitions),
               static_cast<long long>(s.worker_stalls));
   for (const auto& m : registry->List()) {
     std::printf("model %s v%d:\n", m->name.c_str(), m->version);

@@ -42,7 +42,7 @@
 //   server.{accept,poll,recv,send}.eintr      EINTR storms (every(K>=2))
 //   server.worker.delay                       slow worker -> queue
 //                                             pressure (overload and
-//                                             degradation-ladder tests)
+//                                             deadline tests)
 //   engine.predict                            typed failure out of the
 //                                             inference engine
 //   engine.predict.stall                      delay *inside* the predict

@@ -94,8 +94,6 @@ const char* IndexStrategyName(IndexStrategy strategy) {
       return "tree";
     case IndexStrategy::kBallTree:
       return "balltree";
-    case IndexStrategy::kSampled:
-      return "sampled";
   }
   return "auto";
 }
@@ -109,8 +107,6 @@ bool ParseIndexStrategy(const std::string& text, IndexStrategy* out) {
     *out = IndexStrategy::kTree;
   } else if (text == "balltree") {
     *out = IndexStrategy::kBallTree;
-  } else if (text == "sampled") {
-    *out = IndexStrategy::kSampled;
   } else {
     return false;
   }
@@ -119,11 +115,6 @@ bool ParseIndexStrategy(const std::string& text, IndexStrategy* out) {
 
 IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
                                         int dims, int num_threads) {
-  // Granulation is always exact: an approximate candidate scan would
-  // change the balls — and therefore the model bytes — so a kSampled
-  // request degrades to kAuto here and only takes effect at inference
-  // (GB-kNN's center scan).
-  if (requested == IndexStrategy::kSampled) requested = IndexStrategy::kAuto;
   if (requested != IndexStrategy::kAuto) return requested;
   const bool kd_tree =
       (dims <= kRdGbgTreeMaxDimsLow && n >= kRdGbgTreeMinPoints) ||

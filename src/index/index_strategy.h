@@ -26,22 +26,13 @@ enum class IndexStrategy {
   kFlat,      // exhaustive scan (parallelized where the call site supports it)
   kTree,      // DynamicKdTree (axis-aligned box pruning)
   kBallTree,  // BallTree (metric triangle-inequality pruning)
-  // Approximate candidate tier: scan a seeded fixed-permutation prefix
-  // of the points instead of all of them, sized by an explicit recall
-  // knob (GbKnnClassifier::set_recall_target). The ONLY strategy that
-  // may return different results from kFlat — and only at recall < 1;
-  // at the default recall 1.0 it is bit-identical to the exact scan.
-  // Inference-only: granulation resolves kSampled to the exact scan
-  // (training must produce the same artifact bytes whatever the knob),
-  // and kAuto never picks it — approximation is strictly opt-in.
-  kSampled,
 };
 
-/// "auto", "flat", "tree", "balltree", or "sampled".
+/// "auto", "flat", "tree", or "balltree".
 const char* IndexStrategyName(IndexStrategy strategy);
 
-/// Parses "auto" / "flat" / "tree" / "balltree" / "sampled" (exact
-/// match). Returns false and leaves `*out` untouched on anything else.
+/// Parses "auto" / "flat" / "tree" / "balltree" (exact match). Returns
+/// false and leaves `*out` untouched on anything else.
 bool ParseIndexStrategy(const std::string& text, IndexStrategy* out);
 
 /// Effective (intrinsic) dimensionality of a point set: the

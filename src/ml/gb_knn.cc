@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <utility>
 
 #include "common/metrics.h"
@@ -98,12 +97,6 @@ IndexStrategy GbKnnClassifier::resolved_index_strategy() const {
   return resolved_;
 }
 
-void GbKnnClassifier::set_recall_target(double recall) {
-  GBX_CHECK_MSG(recall > 0.0 && recall <= 1.0,
-                "GB-kNN: recall target must be in (0, 1]");
-  recall_target_ = recall;
-}
-
 void GbKnnClassifier::RebuildCenterIndex() {
   // RAII: the early returns below (unfitted, flat backend) are builds
   // too, just trivial ones.
@@ -150,27 +143,16 @@ void GbKnnClassifier::RebuildCenterIndex() {
     resolved_ = backend;
     return;
   }
-  // Flat or sampled: pack the centers into the SoA blocked layout the
-  // SIMD surface-score kernel streams (src/simd/simd.h).
+  // Flat: pack the centers into the SoA blocked layout the SIMD
+  // surface-score kernel streams (src/simd/simd.h).
   auto flat = std::make_shared<FlatCenters>();
   flat->soa = SoaMatrix(p);
   flat->soa.Reserve(m);
   flat->radii.resize(m);
-  if (backend == IndexStrategy::kSampled) {
-    flat->order.resize(m);
-    for (int i = 0; i < m; ++i) flat->order[i] = i;
-    // Seed keyed on the ball count alone, so the same model gives the
-    // same permutation in every process — a restored artifact served
-    // under kSampled predicts identically wherever it runs.
-    Pcg32 perm_rng(0x9e3779b97f4a7c15ULL ^ static_cast<std::uint64_t>(m));
-    perm_rng.Shuffle(&flat->order);
-    resolved_ = IndexStrategy::kSampled;
-  }
-  for (int t = 0; t < m; ++t) {
-    const GranularBall& ball =
-        balls_.ball(flat->order.empty() ? t : flat->order[t]);
+  for (int i = 0; i < m; ++i) {
+    const GranularBall& ball = balls_.ball(i);
     flat->soa.AppendRow(ball.center.data());
-    flat->radii[t] = ball.radius;
+    flat->radii[i] = ball.radius;
   }
   flat_centers_ = std::move(flat);
 }
@@ -191,7 +173,7 @@ int GbKnnClassifier::VoteOverNearest(
 }
 
 std::vector<std::pair<double, int>> GbKnnClassifier::ScoredTopK(
-    const std::vector<double>& q, int k, double recall) const {
+    const std::vector<double>& q, int k) const {
   const std::shared_ptr<const CenterIndex> index = center_index_;
   if (index != nullptr) {
     // KNearestSurface ranks balls by the flat scan's exact (score,
@@ -219,29 +201,15 @@ std::vector<std::pair<double, int>> GbKnnClassifier::ScoredTopK(
   GBX_CHECK(flat != nullptr);
   const int m = flat->soa.rows();
   const int p = flat->soa.cols();
-  // kSampled scans the permutation prefix sized by the recall knob; at
-  // recall 1.0 the prefix is everything and the result is bit-identical
-  // to the exact scan (same pair set, same total order).
-  int scan = m;
-  if (resolved_ == IndexStrategy::kSampled && recall < 1.0) {
-    scan =
-        std::min(m, std::max(k, static_cast<int>(std::ceil(recall * m))));
-  }
-  std::vector<double> scores(scan);
-  std::vector<std::pair<double, int>> dists(scan);
+  std::vector<double> scores(m);
+  std::vector<std::pair<double, int>> dists(m);
   ParallelForRange(
-      scan, ParallelGrain(p),
-      ParallelThreads(scan, p, ResolveNumThreads(gbg_config_.num_threads)),
+      m, ParallelGrain(p),
+      ParallelThreads(m, p, ResolveNumThreads(gbg_config_.num_threads)),
       [&](int begin, int end) {
         simd::SurfaceScores(q.data(), flat->soa, flat->radii.data(), begin,
                             end, scores.data());
-        if (flat->order.empty()) {
-          for (int i = begin; i < end; ++i) dists[i] = {scores[i], i};
-        } else {
-          for (int i = begin; i < end; ++i) {
-            dists[i] = {scores[i], flat->order[i]};
-          }
-        }
+        for (int i = begin; i < end; ++i) dists[i] = {scores[i], i};
       });
   std::partial_sort(dists.begin(), dists.begin() + k, dists.end());
   dists.resize(k);
@@ -249,14 +217,8 @@ std::vector<std::pair<double, int>> GbKnnClassifier::ScoredTopK(
 }
 
 int GbKnnClassifier::Predict(const double* x) const {
-  return PredictWithRecall(x, recall_target_);
-}
-
-int GbKnnClassifier::PredictWithRecall(const double* x, double recall) const {
   GBX_CHECK_MSG(fitted(),
                 "GB-kNN: Predict called before Fit/Restore (empty ball set)");
-  GBX_CHECK_MSG(recall > 0.0 && recall <= 1.0,
-                "GB-kNN: per-call recall must be in (0, 1]");
   const int p = balls_.scaled_features().cols();
   // Ball score: a query inside a ball (pure, non-overlapping region) is
   // decided by it — score = dist - r < 0, unique by the non-overlap
@@ -264,31 +226,17 @@ int GbKnnClassifier::PredictWithRecall(const double* x, double recall) const {
   // dist - r for far queries lets large-radius balls dominate under
   // high-dimensional distance concentration.)
   const int k = std::min(k_, balls_.size());
-  return VoteOverNearest(ScoredTopK(ScaleQuery(scaler_, x, p), k, recall), k);
-}
-
-std::vector<std::pair<double, int>> GbKnnClassifier::TopScoredBalls(
-    const double* x, int k) const {
-  GBX_CHECK_MSG(fitted(), "GB-kNN: TopScoredBalls before Fit/Restore");
-  GBX_CHECK_GE(k, 1);
-  const int p = balls_.scaled_features().cols();
-  return ScoredTopK(ScaleQuery(scaler_, x, p), std::min(k, balls_.size()),
-                    recall_target_);
+  return VoteOverNearest(ScoredTopK(ScaleQuery(scaler_, x, p), k), k);
 }
 
 std::vector<int> GbKnnClassifier::PredictBatch(const Matrix& x) const {
-  return PredictBatchWithRecall(x, recall_target_);
-}
-
-std::vector<int> GbKnnClassifier::PredictBatchWithRecall(const Matrix& x,
-                                                         double recall) const {
   static metrics::Histogram* predict_hist =
       CorePhaseHistogram("gbknn_predict_batch");
   metrics::ScopedTimerMs predict_timer(metrics::Enabled() ? predict_hist
                                                           : nullptr);
   std::vector<int> out(x.rows());
   ParallelFor(x.rows(), gbg_config_.num_threads,
-              [&](int i) { out[i] = PredictWithRecall(x.Row(i), recall); });
+              [&](int i) { out[i] = Predict(x.Row(i)); });
   return out;
 }
 

@@ -33,26 +33,6 @@ class GbKnnClassifier : public Classifier {
   std::vector<int> PredictBatch(const Matrix& x) const override;
   std::string name() const override { return "GB-kNN"; }
 
-  /// Per-call recall variants: predict as if set_recall_target(recall)
-  /// were in effect, WITHOUT touching the fitted-model knob — the
-  /// serving engine threads a per-request recall through these so a
-  /// degradation controller can lower quality for some requests while
-  /// concurrent full-quality requests are in flight (the member knob is
-  /// not safe to flip mid-prediction; these are, being pure reads).
-  /// `recall` must be in (0, 1]. Only the kSampled tier interprets it:
-  /// under every exact strategy the override is ignored and the result
-  /// is bit-identical to Predict/PredictBatch, as it is at recall 1.0
-  /// (the prefix is everything). Prefixes nest, so the same monotone
-  /// recall contract as set_recall_target applies per call.
-  int PredictWithRecall(const double* x, double recall) const;
-  std::vector<int> PredictBatchWithRecall(const Matrix& x,
-                                          double recall) const;
-  /// True when a per-call recall override below 1.0 would change the
-  /// scan (i.e. the sampled tier is the resolved backend).
-  bool SupportsRecallOverride() const {
-    return resolved_ == IndexStrategy::kSampled;
-  }
-
   /// Restores a fitted state without re-granulating (model
   /// deserialization; see serve/model_io.h). `balls` must be non-empty,
   /// `scaler` fitted over the same dimensionality, and `num_classes`
@@ -79,45 +59,23 @@ class GbKnnClassifier : public Classifier {
   /// layout, parallelized over the pool for large ball sets), kTree a
   /// KD-tree and kBallTree a metric ball-tree over the centers, built
   /// once at Fit/Restore and shared by Predict / PredictBatch / the
-  /// serving engine; kAuto resolves by ball count, dimensionality, and
-  /// worker count; kSampled scans a seeded fixed-permutation prefix
-  /// sized by set_recall_target. Every EXACT strategy returns
+  /// serving engine; kAuto resolves by ball count, dimensionality and
+  /// the centers' effective dimension. Every strategy returns
   /// bit-identical predictions — both trees rank balls by the flat
   /// scan's exact (score, index) order via KNearestSurface, whose
-  /// subtree bound is a certain score lower bound — and kSampled at
-  /// recall 1.0 scans everything, so it is bit-identical too (the pair
-  /// total order makes the permuted fill converge to the same top-k).
-  /// The knob is pure runtime state: model artifacts never persist it,
-  /// and a model saved under one strategy predicts identically under
-  /// the other exact ones (tests/roundtrip_fuzz_test.cc). Re-resolves
-  /// and rebuilds/drops the backend immediately when fitted; a no-op
-  /// when `strategy` is already set. NOT safe to call concurrently with
+  /// subtree bound is a certain score lower bound. The knob is pure
+  /// runtime state: model artifacts never persist it, and a model saved
+  /// under one strategy predicts identically under the others
+  /// (tests/roundtrip_fuzz_test.cc). Re-resolves and rebuilds/drops the
+  /// backend immediately when fitted; a no-op when `strategy` is
+  /// already set. NOT safe to call concurrently with
   /// in-flight Predict/PredictBatch — flip the knob before serving
   /// starts (as gbx_serve does at load).
   void set_index_strategy(IndexStrategy strategy);
   IndexStrategy index_strategy() const { return gbg_config_.index_strategy; }
   /// What Predict will actually use: kTree / kBallTree when a center
-  /// index is built, kSampled when the sampled tier is active, kFlat
-  /// otherwise (always kFlat before Fit/Restore).
+  /// index is built, kFlat otherwise (always kFlat before Fit/Restore).
   IndexStrategy resolved_index_strategy() const;
-
-  /// Target recall of the kSampled tier, in (0, 1]; default 1.0. The
-  /// candidate prefix scanned per query is max(k, ceil(recall * m)) of
-  /// the m balls — a uniform sample via the fixed permutation, so the
-  /// expected fraction of the exact top-k recovered is >= recall, and
-  /// prefixes nest: raising the knob can only add candidates, making
-  /// measured recall monotone in it (tests/recall_test.cc). Ignored by
-  /// every other strategy. Pure runtime state, never persisted; safe to
-  /// change between (not during) predictions without a rebuild.
-  void set_recall_target(double recall);
-  double recall_target() const { return recall_target_; }
-
-  /// The k (score, ball-index) pairs Predict votes over, ascending by
-  /// the (score, index) total order. Exposes the candidate ranking so
-  /// tests can measure the sampled tier's recall against the exact
-  /// scan; `x` is an unscaled query like Predict's.
-  std::vector<std::pair<double, int>> TopScoredBalls(const double* x,
-                                                     int k) const;
 
  private:
   // Ball centers as a matrix, radii as per-center weights, and one tree
@@ -149,29 +107,20 @@ class GbKnnClassifier : public Classifier {
   };
 
   // Flat-scan backend: centers and radii in the SoA blocked layout the
-  // SIMD kernels stream (src/simd/simd.h). `order[t]` maps SoA row t
-  // back to its ball index — identity (empty vector) for the exact
-  // scan, a seeded fixed permutation under kSampled so every candidate
-  // prefix is a uniform sample and prefixes nest (recall monotone in
-  // the knob by construction, and the same across processes: the seed
-  // derives from the ball count alone). shared_ptr for the same
-  // copyability/move-stability reasons as CenterIndex.
+  // SIMD kernels stream (src/simd/simd.h), row i = ball i. shared_ptr
+  // for the same copyability/move-stability reasons as CenterIndex.
   struct FlatCenters {
     SoaMatrix soa;
     std::vector<double> radii;
-    std::vector<int> order;  // empty = identity
   };
 
   /// (Re)derives the resolved strategy and builds the center tree or
   /// the SoA flat backend. Called by Fit/Restore/set_index_strategy.
   void RebuildCenterIndex();
-  /// The top-k (score, ball) pairs for a scaled query — the shared core
-  /// of Predict and TopScoredBalls, dispatching on the resolved
-  /// backend. `recall` sizes the sampled tier's candidate prefix
-  /// (callers pass recall_target_ or a per-call override; ignored
-  /// outside kSampled).
+  /// The top-k (score, ball) pairs for a scaled query, dispatching on
+  /// the resolved backend.
   std::vector<std::pair<double, int>> ScoredTopK(const std::vector<double>& q,
-                                                 int k, double recall) const;
+                                                 int k) const;
   int VoteOverNearest(const std::vector<std::pair<double, int>>& dists,
                       int k) const;
 
@@ -184,7 +133,6 @@ class GbKnnClassifier : public Classifier {
   std::shared_ptr<const CenterIndex> center_index_;
   std::shared_ptr<const FlatCenters> flat_centers_;
   IndexStrategy resolved_ = IndexStrategy::kFlat;
-  double recall_target_ = 1.0;
 };
 
 }  // namespace gbx

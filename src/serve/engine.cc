@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/failpoint.h"
-#include "ml/gb_knn.h"
 
 namespace gbx {
 
@@ -25,7 +24,6 @@ InferenceEngine::InferenceEngine(LoadedModel model,
                 "InferenceEngine needs a loaded classifier");
   GBX_CHECK_GT(model_.dims, 0);
   options_.max_batch_size = std::max(1, options_.max_batch_size);
-  gbknn_ = dynamic_cast<const GbKnnClassifier*>(model_.classifier.get());
   auto& reg = metrics::MetricsRegistry::Default();
   m_requests_ = reg.GetCounter("gbx_engine_requests_total", {},
                                "Predictions served by inference engines");
@@ -60,8 +58,7 @@ Status InferenceEngine::ValidateQuery(const double* x, int dims) const {
 }
 
 StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
-                                       PredictTiming* timing,
-                                       const PredictOverrides* overrides) {
+                                       PredictTiming* timing) {
   // Chaos site: "engine.predict" with delay(ms) stretches the predict
   // path (overload/deadline batteries); error fails the prediction.
   GBX_FAILPOINT_RETURN_ERROR("engine.predict");
@@ -70,29 +67,6 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
   // simulation (tests/chaos_test.cc, the CI health smoke).
   GBX_FAILPOINT("engine.predict.stall");
   GBX_RETURN_IF_ERROR(ValidateQuery(x, dims));
-  double recall_override = 0.0;
-  double delay_scale = 1.0;
-  if (overrides != nullptr) {
-    if (overrides->recall < 0.0 ||
-        (overrides->recall != 0.0 && overrides->recall > 1.0)) {
-      return Status::InvalidArgument(
-          "recall override must be in (0, 1], got " +
-          std::to_string(overrides->recall));
-    }
-    if (overrides->batch_delay_scale <= 0.0 ||
-        overrides->batch_delay_scale > 1.0) {
-      return Status::InvalidArgument(
-          "batch_delay_scale must be in (0, 1], got " +
-          std::to_string(overrides->batch_delay_scale));
-    }
-    // recall >= 1.0 is full quality, i.e. no override; a model whose
-    // resolved strategy has no sampled tier serves full quality too.
-    if (overrides->recall > 0.0 && overrides->recall < 1.0 &&
-        gbknn_ != nullptr && gbknn_->SupportsRecallOverride()) {
-      recall_override = overrides->recall;
-    }
-    delay_scale = overrides->batch_delay_scale;
-  }
   Stopwatch watch;
   const auto entry_tp = std::chrono::steady_clock::now();
 
@@ -104,21 +78,9 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
     double expected = -1.0;
     first_enqueue_s_.compare_exchange_strong(
         expected, lifetime_.ElapsedSeconds(), std::memory_order_relaxed);
-    if (pending_ != nullptr &&
-        pending_->recall_override != recall_override) {
-      // Quality boundary: a batch serves every rider at one recall, so
-      // an arrival with a different override closes the open batch
-      // (waking its leader) and leads a fresh one. Transitions are
-      // controller-tick-rare; steady state never splits.
-      pending_->closed = true;
-      pending_.reset();
-      cv_.notify_all();
-    }
     if (pending_ == nullptr) {
       pending_ = std::make_shared<MicroBatch>();
       pending_->created_tp = entry_tp;
-      pending_->recall_override = recall_override;
-      pending_->delay_scale = delay_scale;
       leader = true;
     }
     batch = pending_;
@@ -140,7 +102,7 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
         cv_.wait_for(
             lock,
             std::chrono::duration<double, std::milli>(
-                options_.max_batch_delay_ms * batch->delay_scale),
+                options_.max_batch_delay_ms),
             [&] { return batch->closed; });
       }
       if (!batch->closed) {
@@ -163,7 +125,6 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
     timing->compute_ms = batch->compute_ms;
     timing->batch_size = batch->count;
     timing->total_ms = ms;
-    timing->applied_recall = batch->recall_override;
   }
   return batch->labels[slot];
 }
@@ -206,13 +167,7 @@ void InferenceEngine::Dispatch(const std::shared_ptr<MicroBatch>& batch) {
   Matrix m(batch->count, model_.dims);
   std::copy(batch->queries.begin(), batch->queries.end(),
             m.mutable_data().begin());
-  // recall_override > 0 implies gbknn_ (Predict only arms it for a
-  // sampled-tier GB-kNN); everything else takes the virtual full-quality
-  // path untouched.
-  std::vector<int> labels =
-      batch->recall_override > 0.0
-          ? gbknn_->PredictBatchWithRecall(m, batch->recall_override)
-          : model_.classifier->PredictBatch(m);
+  std::vector<int> labels = model_.classifier->PredictBatch(m);
   const double compute_ms =
       MsBetween(dispatch_tp, std::chrono::steady_clock::now());
   {

@@ -39,8 +39,6 @@
 
 namespace gbx {
 
-class GbKnnClassifier;
-
 struct InferenceEngineOptions {
   /// A micro-batch is dispatched as soon as it holds this many queries.
   int max_batch_size = 64;
@@ -63,29 +61,6 @@ struct PredictTiming {
   int batch_size = 0;
   /// Enqueue -> label available (what the latency histogram records).
   double total_ms = 0.0;
-  /// The per-call recall this request was actually served at: 0 when no
-  /// override was in effect (model-default quality), else the override
-  /// the classifier honored. The serving front-end turns values below
-  /// 1.0 into the wire-level "degraded recall=F" tag.
-  double applied_recall = 0.0;
-};
-
-/// Per-call quality/latency knobs threaded through Predict() by the
-/// serving front-end's degradation controller (serve/degrade.h). A
-/// null overrides pointer (the default) is the fitted-model fast path —
-/// bit-identical to pre-override behavior.
-struct PredictOverrides {
-  /// 0 = serve at the model's configured quality. Else must be in
-  /// (0, 1]: requests are served through the GB-kNN sampled tier's
-  /// per-call recall path (GbKnnClassifier::PredictBatchWithRecall).
-  /// Classifiers without a sampled tier — and exact-strategy GB-kNN —
-  /// ignore the override (applied_recall stays 0). Values >= 1.0 are
-  /// treated as "no override": full quality is not "degraded".
-  double recall = 0.0;
-  /// Scales InferenceEngineOptions::max_batch_delay_ms for the batch
-  /// this request leads — the ladder's batch-window-shrink rung. Must
-  /// be in (0, 1]; followers inherit the leader's window.
-  double batch_delay_scale = 1.0;
 };
 
 /// Point-in-time engine statistics.
@@ -119,13 +94,8 @@ class InferenceEngine {
   /// micro-batch has been dispatched. Rejects wrong-arity and
   /// non-finite queries with InvalidArgument instead of poisoning the
   /// batch.
-  /// `overrides` (optional) carries the degradation controller's
-  /// per-call quality knobs; requests with different effective recall
-  /// never share a micro-batch (a mismatched arrival closes the pending
-  /// batch), so every response's applied_recall is exact.
   StatusOr<int> Predict(const double* x, int dims,
-                        PredictTiming* timing = nullptr,
-                        const PredictOverrides* overrides = nullptr);
+                        PredictTiming* timing = nullptr);
   StatusOr<int> Predict(const std::vector<double>& x) {
     return Predict(x.data(), static_cast<int>(x.size()));
   }
@@ -153,12 +123,6 @@ class InferenceEngine {
     std::chrono::steady_clock::time_point created_tp{};
     std::chrono::steady_clock::time_point dispatch_tp{};
     double compute_ms = 0.0;  // PredictBatch duration (set with done)
-    /// Effective per-call recall for every query in this batch (0 =
-    /// model default). Set by the leader; arrivals with a different
-    /// value start their own batch so the value is batch-invariant.
-    double recall_override = 0.0;
-    /// Leader's coalescing-window scale (the shrink rung).
-    double delay_scale = 1.0;
   };
 
   /// Validates query arity and finiteness.
@@ -172,10 +136,6 @@ class InferenceEngine {
 
   LoadedModel model_;
   InferenceEngineOptions options_;
-  /// Non-null when the classifier is a GB-kNN: the per-call recall
-  /// entry point lives on the concrete class, not the Classifier
-  /// interface, so the engine resolves it once at construction.
-  const GbKnnClassifier* gbknn_ = nullptr;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -38,8 +38,7 @@
 //                                       balancers -> "ok health
 //                                       ready|unready [reasons R1,R2]
 //                                       models N workers A stalled S
-//                                       queue D/CAP degrade off|L
-//                                       recall F". Ready iff the
+//                                       queue D/CAP". Ready iff the
 //                                       registry serves >= 1 model,
 //                                       every worker is alive, and the
 //                                       queue is below the shed line;
@@ -58,14 +57,6 @@
 //                                       client can pin which model
 //                                       version answered (hot-swap
 //                                       consistency; tests/hot_swap_test)
-//                                       Under --degrade auto a reply
-//                                       served at reduced quality
-//                                       appends " degraded recall=F"
-//                                       (F in (0,1), %.2f) AFTER the
-//                                       checksum, so fixed-field
-//                                       parsers keep working and
-//                                       quality-aware clients can count
-//                                       what they got (serve/degrade.h)
 //   "ok ..."                            admin success
 //   "error CODE: message"               structured error; the connection
 //                                       stays open for payload-level

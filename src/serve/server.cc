@@ -163,34 +163,7 @@ int AcceptFp(int fd) {
 
 }  // namespace
 
-Status ValidateRecall(double recall, const char* what) {
-  // NaN must fail too, so express the valid range positively.
-  if (!(recall > 0.0 && recall <= 1.0)) {
-    return Status::InvalidArgument(std::string(what) +
-                                   " must be in (0, 1], got " +
-                                   std::to_string(recall));
-  }
-  return Status::Ok();
-}
-
 Status ValidateServerOptions(const ServerOptions& options) {
-  GBX_RETURN_IF_ERROR(ValidateRecall(options.degrade.min_recall,
-                                     "--min-recall (degrade.min_recall)"));
-  const DegradeOptions& d = options.degrade;
-  if (!(d.low_watermark >= 0.0 && d.low_watermark < d.high_watermark)) {
-    return Status::InvalidArgument(
-        "degrade watermarks need 0 <= low < high");
-  }
-  if (d.down_ticks < 1 || d.up_ticks < 1) {
-    return Status::InvalidArgument("degrade tick counts must be >= 1");
-  }
-  if (!(d.tick_interval_ms > 0.0)) {
-    return Status::InvalidArgument("degrade tick interval must be > 0 ms");
-  }
-  if (!(d.batch_delay_scale_floor > 0.0 && d.batch_delay_scale_floor <= 1.0)) {
-    return Status::InvalidArgument(
-        "degrade batch_delay_scale_floor must be in (0, 1]");
-  }
   if (options.worker_stall_ms < 0.0) {
     return Status::InvalidArgument("worker_stall_ms must be >= 0");
   }
@@ -268,8 +241,6 @@ struct Server::Impl {
   std::atomic<int> workers_alive{0};
   std::atomic<int> workers_stalled{0};
 
-  std::unique_ptr<DegradeController> degrade;  // null when degrade_auto off
-
   std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::deque<Request> queue;
@@ -303,15 +274,11 @@ struct Server::Impl {
   metrics::Counter* m_deadline;
   metrics::Counter* m_req_ok;
   metrics::Counter* m_req_error;
-  metrics::Counter* m_degraded;
-  metrics::Counter* m_degrade_down;
-  metrics::Counter* m_degrade_up;
   metrics::Counter* m_worker_stalls;
   metrics::Counter* m_workers_replaced;
   metrics::Gauge* g_queue_depth;
   metrics::Gauge* g_queue_peak;
   metrics::Gauge* g_conns_open;
-  metrics::Gauge* g_degrade_level;
   metrics::Gauge* g_workers_alive;
   metrics::Gauge* g_workers_stalled;
   metrics::Histogram* h_queue_wait;
@@ -323,11 +290,6 @@ struct Server::Impl {
   ServerStats baseline;  // registry counter values at Start()
   std::atomic<std::int64_t> queue_peak_local{0};
   std::atomic<std::uint64_t> next_trace_id{1};
-  // Controller-tick state (event-loop thread only): the queue-wait
-  // histogram's count/sum at the previous tick, for the delta mean.
-  std::int64_t tick_wait_count = 0;
-  double tick_wait_sum = 0.0;
-  double last_ctl_tick_s = -1.0;
 
   Impl() {
     auto& reg = metrics::MetricsRegistry::Default();
@@ -350,15 +312,6 @@ struct Server::Impl {
     m_req_error = reg.GetCounter("gbx_server_requests_total",
                                  {{"result", "error"}},
                                  "Predict requests handled");
-    m_degraded = reg.GetCounter(
-        "gbx_server_requests_degraded_total", {},
-        "Predict responses served at reduced recall (degradation ladder)");
-    m_degrade_down = reg.GetCounter(
-        "gbx_server_degrade_transitions_total", {{"direction", "down"}},
-        "Degradation-ladder transitions");
-    m_degrade_up = reg.GetCounter(
-        "gbx_server_degrade_transitions_total", {{"direction", "up"}},
-        "Degradation-ladder transitions");
     m_worker_stalls = reg.GetCounter(
         "gbx_server_worker_stalls_total", {},
         "Predict workers declared stalled by the watchdog");
@@ -371,9 +324,6 @@ struct Server::Impl {
                                 "Worker queue high-water mark");
     g_conns_open = reg.GetGauge("gbx_server_connections_open", {},
                                 "Currently open connections");
-    g_degrade_level = reg.GetGauge(
-        "gbx_server_degrade_level", {},
-        "Current degradation-ladder level (0 = full quality)");
     g_workers_alive = reg.GetGauge("gbx_server_workers_alive", {},
                                    "Healthy predict workers");
     g_workers_stalled = reg.GetGauge(
@@ -454,18 +404,9 @@ struct Server::Impl {
     baseline.protocol_errors = m_proto_err->Value();
     baseline.requests_shed = m_shed->Value();
     baseline.deadlines_expired = m_deadline->Value();
-    baseline.requests_degraded = m_degraded->Value();
-    baseline.degrade_transitions = m_degrade_down->Value() + m_degrade_up->Value();
     baseline.worker_stalls = m_worker_stalls->Value();
     queue_peak_local.store(0);
     trace::TraceRing::Default().set_slow_threshold_ms(opts.slow_trace_ms);
-
-    if (opts.degrade_auto) {
-      degrade = std::make_unique<DegradeController>(opts.degrade);
-      g_degrade_level->Set(0);
-    }
-    tick_wait_count = h_queue_wait->Count();
-    tick_wait_sum = h_queue_wait->Sum();
 
     const int n_workers =
         std::max(1, std::min(ResolveNumThreads(opts.num_workers), 64));
@@ -484,8 +425,6 @@ struct Server::Impl {
         .Kv("workers", n_workers)
         .Kv("max_queue_depth", static_cast<std::int64_t>(opts.max_queue_depth))
         .Kv("slow_trace_ms", opts.slow_trace_ms)
-        .Kv("degrade", opts.degrade_auto ? "auto" : "off")
-        .Kv("min_recall", opts.degrade.min_recall)
         .Kv("worker_stall_ms", opts.worker_stall_ms);
     return Status::Ok();
   }
@@ -515,7 +454,6 @@ struct Server::Impl {
     for (std::thread& w : workers) w.join();
     workers.clear();
     worker_slots.clear();
-    degrade.reset();
     // Completions pushed after the loop exited belong to closed
     // connections; drop them.
     {
@@ -568,7 +506,7 @@ struct Server::Impl {
         }
       }
       DeliverCompletions(now_s);
-      TickControl(now_s);
+      if (opts.worker_stall_ms > 0) SweepWorkers(now_s);
       if (opts.idle_timeout_ms > 0) SweepIdle(now_s);
       if (stop_requested.load()) {
         if (drain_deadline_s < 0) {
@@ -597,64 +535,12 @@ struct Server::Impl {
     if (opts.idle_timeout_ms > 0) {
       t = std::max(1, static_cast<int>(opts.idle_timeout_ms / 2));
     }
-    // The control loop must keep ticking on a quiet socket too: the
-    // ladder recovers and the watchdog fires from these timeouts.
-    if (degrade != nullptr) {
-      t = std::min(t,
-                   std::max(1, static_cast<int>(opts.degrade.tick_interval_ms)));
-    }
+    // The watchdog must keep sweeping on a quiet socket too: it fires
+    // from these timeouts.
     if (opts.worker_stall_ms > 0) {
       t = std::min(t, std::max(1, static_cast<int>(opts.worker_stall_ms / 2)));
     }
     return t;
-  }
-
-  /// Degradation-controller tick + watchdog sweep, from the event loop.
-  void TickControl(double now_s) {
-    if (degrade != nullptr &&
-        (last_ctl_tick_s < 0.0 ||
-         (now_s - last_ctl_tick_s) * 1e3 >= opts.degrade.tick_interval_ms)) {
-      last_ctl_tick_s = now_s;
-      std::size_t depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu);
-        depth = queue.size();
-      }
-      const double shed_line = opts.max_queue_depth > 0
-                                   ? static_cast<double>(opts.max_queue_depth)
-                                   : 1024.0;
-      // Mean queue wait since the previous tick, from the PR-8 stage
-      // histogram (exact count/sum deltas, no quantile estimation).
-      const std::int64_t wait_count = h_queue_wait->Count();
-      const double wait_sum = h_queue_wait->Sum();
-      double mean_wait_ms = -1.0;
-      if (wait_count > tick_wait_count) {
-        mean_wait_ms = (wait_sum - tick_wait_sum) /
-                       static_cast<double>(wait_count - tick_wait_count);
-      }
-      tick_wait_count = wait_count;
-      tick_wait_sum = wait_sum;
-      const int step = degrade->Tick(
-          now_s, static_cast<double>(depth) / shed_line, mean_wait_ms);
-      if (step != 0) {
-        (step > 0 ? m_degrade_down : m_degrade_up)->Inc();
-        g_degrade_level->Set(degrade->level());
-        if (step > 0) {
-          GBX_SLOG(kWarn, "server.degrade.step")
-              .Kv("level", degrade->level())
-              .Kv("recall", degrade->recall())
-              .Kv("batch_delay_scale", degrade->batch_delay_scale())
-              .Kv("queue_depth", static_cast<std::int64_t>(depth))
-              .Kv("mean_queue_wait_ms", mean_wait_ms);
-        } else {
-          GBX_SLOG(kInfo, "server.degrade.recover")
-              .Kv("level", degrade->level())
-              .Kv("recall", degrade->recall())
-              .Kv("queue_depth", static_cast<std::int64_t>(depth));
-        }
-      }
-    }
-    if (opts.worker_stall_ms > 0) SweepWorkers(now_s);
   }
 
   /// Flags workers stuck on one request past the deadline and replaces
@@ -1053,17 +939,8 @@ struct Server::Impl {
           false);
     }
     PredictTiming timing;
-    // Degradation: the controller's current rung rides into the engine
-    // as per-call overrides; with the controller off the pointer stays
-    // null and the engine path is bit-identical to pre-ladder behavior.
-    PredictOverrides overrides;
-    if (degrade != nullptr) {
-      overrides.recall = degrade->recall();
-      overrides.batch_delay_scale = degrade->batch_delay_scale();
-    }
     const StatusOr<int> label = snapshot->engine->Predict(
-        query.data(), static_cast<int>(query.size()), &timing,
-        degrade != nullptr ? &overrides : nullptr);
+        query.data(), static_cast<int>(query.size()), &timing);
     h_batch_assembly->Observe(timing.batch_assembly_ms);
     h_compute->Observe(timing.compute_ms);
     tr.AddSpan("batch_assembly", cursor_ms, timing.batch_assembly_ms, 0,
@@ -1076,16 +953,6 @@ struct Server::Impl {
     Stopwatch encode_watch;
     std::string reply = "ok " + std::to_string(*label) + " fnv1a " +
                         ChecksumHex(snapshot->checksum);
-    if (timing.applied_recall > 0.0 && timing.applied_recall < 1.0) {
-      // Quality loss is visible on the wire: the tag appends after the
-      // existing fields so label/checksum parsers keep working.
-      char tag[48];
-      std::snprintf(tag, sizeof(tag), " degraded recall=%.2f",
-                    timing.applied_recall);
-      reply += tag;
-      m_degraded->Inc();
-      tr.Annotate(0, "degraded");
-    }
     const double encode_ms = encode_watch.ElapsedMillis();
     h_encode->Observe(encode_ms);
     tr.AddSpan("encode", cursor_ms, encode_ms);
@@ -1105,7 +972,7 @@ struct Server::Impl {
       // traffic NOW: a routable model, no stalled worker, at least one
       // healthy worker, and the queue below the shed line. Format:
       //   ok health ready|unready [reasons R1,R2] models N workers A
-      //   stalled S queue D/LINE degrade off|LEVEL recall F
+      //   stalled S queue D/LINE
       std::size_t depth = 0;
       {
         std::lock_guard<std::mutex> lock(queue_mu);
@@ -1131,12 +998,6 @@ struct Server::Impl {
       }
       out << " models " << models << " workers " << alive << " stalled "
           << stalled << " queue " << depth << "/" << opts.max_queue_depth;
-      if (degrade != nullptr) {
-        out << " degrade " << degrade->level() << " recall "
-            << degrade->recall();
-      } else {
-        out << " degrade off";
-      }
       return out.str();
     }
     if (cmd == "!list") {
@@ -1173,21 +1034,16 @@ struct Server::Impl {
           << s.mean_batch_size << " p50_ms " << s.p50_ms << " p99_ms "
           << s.p99_ms << " qps " << s.qps << " shed " << ss.requests_shed
           << " deadline_expired " << ss.deadlines_expired << " queue_depth "
-          << depth << " queue_peak " << ss.queue_peak << " degraded "
-          << ss.requests_degraded << " worker_stalls " << ss.worker_stalls;
-      if (degrade != nullptr) {
-        out << " degrade_level " << degrade->level() << " degrade_recall "
-            << degrade->recall();
-      }
+          << depth << " queue_peak " << ss.queue_peak << " worker_stalls "
+          << ss.worker_stalls;
       // Scan configuration: the SIMD dispatch level is process-global;
-      // strategy/recall are per-model runtime knobs (GB-kNN only —
-      // other classifiers have no center scan and report nothing).
+      // the strategy is a per-model runtime knob (GB-kNN only — other
+      // classifiers have no center scan and report nothing).
       out << " simd " << simd::ActiveName();
       if (const auto* gbknn = dynamic_cast<const GbKnnClassifier*>(
               snapshot->engine->model().classifier.get())) {
         out << " strategy "
-            << IndexStrategyName(gbknn->resolved_index_strategy())
-            << " recall " << gbknn->recall_target();
+            << IndexStrategyName(gbknn->resolved_index_strategy());
       }
       return out.str();
     }
@@ -1320,9 +1176,6 @@ struct Server::Impl {
     s.requests_shed = m_shed->Value() - baseline.requests_shed;
     s.deadlines_expired = m_deadline->Value() - baseline.deadlines_expired;
     s.queue_peak = queue_peak_local.load(std::memory_order_relaxed);
-    s.requests_degraded = m_degraded->Value() - baseline.requests_degraded;
-    s.degrade_transitions = m_degrade_down->Value() + m_degrade_up->Value() -
-                            baseline.degrade_transitions;
     s.worker_stalls = m_worker_stalls->Value() - baseline.worker_stalls;
     return s;
   }

@@ -39,13 +39,6 @@
 //   * a request carrying "timeout_ms=T" whose deadline passes while it
 //     waits in queue is answered "error DEADLINE_EXCEEDED" without
 //     wasting a worker on a prediction the client already abandoned;
-//   * with ServerOptions::degrade_auto on, sustained queue pressure
-//     steps a hysteresis ladder (serve/degrade.h) that lowers
-//     per-request recall toward `min_recall` and then shrinks the
-//     micro-batch window *before* the bounded queue sheds — every
-//     degraded response carries a "degraded recall=F" wire tag; with
-//     the controller off (default), responses are bit-identical to a
-//     server without it;
 //   * a worker watchdog (ServerOptions::worker_stall_ms) detects
 //     predict workers stuck past the deadline on one request, logs,
 //     replaces them so capacity survives, and feeds the "!health"
@@ -60,7 +53,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "serve/degrade.h"
 #include "serve/protocol.h"
 #include "serve/registry.h"
 
@@ -106,19 +98,6 @@ struct ServerOptions {
   /// with their full span tree ("!trace slow", common/trace.h).
   /// <= 0 disables slow capture.
   double slow_trace_ms = 100.0;
-  /// Graceful degradation ("--degrade auto|off"). Strictly opt-in:
-  /// false (the default, "off") keeps every response bit-identical to a
-  /// server without the controller. true arms the hysteresis ladder in
-  /// serve/degrade.h, ticked from the event loop and fed by queue depth
-  /// and queue wait: under sustained pressure predict requests are
-  /// served at reduced recall (GB-kNN sampled tier, tagged
-  /// "degraded recall=F" on the wire) down to `degrade.min_recall`,
-  /// then with a shrunken micro-batch window, before the bounded queue
-  /// ever sheds. When max_queue_depth is 0 (shedding disabled) the
-  /// depth signal uses a virtual shed line of 1024.
-  bool degrade_auto = false;
-  /// Ladder tuning; `degrade.min_recall` is the "--min-recall" floor.
-  DegradeOptions degrade;
   /// > 0 arms the worker watchdog: a predict worker busy on a single
   /// request for longer than this is declared stalled (structured log +
   /// gbx_server_worker_stalls_total), abandoned, and replaced by a
@@ -129,16 +108,9 @@ struct ServerOptions {
   double worker_stall_ms = 0.0;
 };
 
-/// Typed validation shared by the server and the CLI flag parsers:
-/// recall-like knobs ("--recall", "--min-recall") must be in (0, 1] —
-/// out-of-range values are rejected with InvalidArgument, never
-/// silently clamped. `what` names the knob in the error message.
-Status ValidateRecall(double recall, const char* what);
-
-/// Validates the degradation/watchdog fields of `options` (recall
-/// floor, watermark ordering, tick counts, scales). Run by
+/// Validates `options` (a negative worker_stall_ms is rejected). Run by
 /// Server::Start() before any socket work, so a bad configuration
-/// fails with InvalidArgument instead of serving surprising quality.
+/// fails with InvalidArgument.
 Status ValidateServerOptions(const ServerOptions& options);
 
 /// Point-in-time server statistics. Since PR 8 this is a *view* over
@@ -161,11 +133,6 @@ struct ServerStats {
   std::int64_t deadlines_expired = 0;
   /// High-water mark of the worker queue depth since Start().
   std::int64_t queue_peak = 0;
-  /// Predict responses served at reduced recall (tagged "degraded
-  /// recall=F") by the degradation controller.
-  std::int64_t requests_degraded = 0;
-  /// Ladder transitions (down + up) since Start().
-  std::int64_t degrade_transitions = 0;
   /// Workers declared stalled (and replaced) by the watchdog.
   std::int64_t worker_stalls = 0;
 };

@@ -12,9 +12,6 @@
 //   * overload sheds with typed UNAVAILABLE replies while admin
 //     commands still answer, and deadlines expire with typed
 //     DEADLINE_EXCEEDED — both observable via Stats() and "!stat";
-//   * under --degrade auto, sustained pressure walks the recall ladder
-//     to its floor BEFORE the bounded queue sheds, recovery restores
-//     full quality, and the default-off controller never tags a reply;
 //   * the worker watchdog flags a predict worker stuck past its
 //     deadline, replaces it (capacity survives), and drives the
 //     "!health" probe unready -> ready across the stall.
@@ -384,162 +381,6 @@ TEST_F(ChaosTest, QueuedDeadlineExpiresWithTypedReply) {
                                            test.num_features(), 5000.0));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->rfind("ok ", 0), 0) << *reply;
-
-  server.Stop();
-}
-
-// --- graceful degradation ladder --------------------------------------
-
-/// Publishes `bundle` under "default" with the sampled quality tier
-/// resolved — the strategy the degradation ladder lowers recall through.
-std::shared_ptr<ModelRegistry> SampledRegistry(const ModelBundle& bundle) {
-  auto registry = std::make_shared<ModelRegistry>(SmallBatchOptions());
-  LoadedModel model = servetest::LoadBundle(bundle);
-  auto* gbknn = dynamic_cast<GbKnnClassifier*>(model.classifier.get());
-  GBX_CHECK(gbknn != nullptr);
-  gbknn->set_index_strategy(IndexStrategy::kSampled);
-  GBX_CHECK(registry->Publish("default", std::move(model)).ok());
-  return registry;
-}
-
-/// Fast-ticking ladder over a 1-worker, 4-deep-queue server: pressure
-/// signals respond within tens of milliseconds instead of seconds.
-ServerOptions LadderOptions() {
-  ServerOptions opts;
-  opts.num_workers = 1;
-  opts.max_queue_depth = 4;
-  opts.degrade.min_recall = 0.5;
-  opts.degrade.tick_interval_ms = 5.0;
-  opts.degrade.down_ticks = 2;
-  opts.degrade.up_ticks = 2;
-  opts.degrade.queue_wait_ref_ms = 5.0;
-  // Low watermark above an occasional 1-deep queue (admin probes pass
-  // through the worker queue too), so recovery is not dead-banded by
-  // the act of observing it.
-  opts.degrade.low_watermark = 0.3;
-  return opts;
-}
-
-TEST_F(ChaosTest, DegradationLadderDropsRecallBeforeShedAndRecovers) {
-  const ModelBundle bundle = MakeGbKnnBundle("S5");
-  const Dataset& test = bundle.split.test;
-  ServerOptions opts = LadderOptions();
-  opts.degrade_auto = true;
-  Server server(SampledRegistry(bundle), opts);
-  ASSERT_TRUE(server.Start().ok());
-
-  // Every predict occupies the single worker for >= 8 ms; a 3-deep
-  // pipelined window sustains queue pressure above the high watermark
-  // WITHOUT ever overflowing the 4-deep queue.
-  ASSERT_TRUE(
-      Failpoints::Instance().Set("server.worker.delay", "delay(8)").ok());
-
-  TestClient client(server.port());
-  const std::string query =
-      FormatPredictPayload("", test.row(0), test.num_features());
-
-  // Phase 1 — sustained pressure below the shed line: the ladder must
-  // walk to the recall floor with ZERO sheds.
-  constexpr int kWindow = 3;
-  for (int i = 0; i < kWindow; ++i) ASSERT_TRUE(client.Send(query).ok());
-  bool at_floor = false;
-  for (int i = 0; i < 2000 && !at_floor; ++i) {
-    const StatusOr<std::string> reply = client.Recv();
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    ASSERT_EQ(reply->rfind("ok ", 0), 0)
-        << "shed before the ladder reached its floor: " << *reply;
-    at_floor = reply->find(" degraded recall=0.50") != std::string::npos;
-    ASSERT_TRUE(client.Send(query).ok());
-  }
-  EXPECT_TRUE(at_floor) << "ladder never reached the recall floor";
-  EXPECT_EQ(server.Stats().requests_shed, 0)
-      << "queue shed before degradation bottomed out";
-  EXPECT_GE(server.Stats().degrade_transitions, 3);  // >= 3 down steps
-  EXPECT_GT(server.Stats().requests_degraded, 0);
-
-  // Phase 2 — a burst past the queue bound: only NOW may the server
-  // shed (the floor preceded the first shed in stream order).
-  constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) ASSERT_TRUE(client.Send(query).ok());
-  int ok = 0, shed = 0;
-  for (int i = 0; i < kBurst + kWindow; ++i) {
-    const StatusOr<std::string> reply = client.Recv();
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    if (reply->rfind("ok ", 0) == 0) {
-      ++ok;
-    } else {
-      EXPECT_EQ(reply->rfind("error UNAVAILABLE", 0), 0) << *reply;
-      ++shed;
-    }
-  }
-  EXPECT_GT(shed, 0) << "burst never overflowed the queue";
-  EXPECT_EQ(ok + shed, kBurst + kWindow);
-
-  // Phase 3 — pressure off: the ladder steps back to full quality
-  // (hysteresis: gradually, via up_ticks) and "!health" reports it.
-  Failpoints::Instance().ClearAll();
-  TestClient admin(server.port());
-  bool recovered = false;
-  for (int i = 0; i < 800 && !recovered; ++i) {
-    const StatusOr<std::string> health = admin.Call("!health");
-    ASSERT_TRUE(health.ok()) << health.status().ToString();
-    recovered = health->find(" degrade 0 recall 1") != std::string::npos;
-    if (!recovered) std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(recovered) << "ladder never recovered after the burst";
-
-  // Full quality restored on the wire: an exact, untagged answer.
-  const StatusOr<std::string> reply = client.Call(query);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ASSERT_EQ(reply->rfind("ok ", 0), 0) << *reply;
-  EXPECT_EQ(reply->find("degraded"), std::string::npos) << *reply;
-  const StatusOr<PredictReply> predict = ParsePredictReply(*reply);
-  ASSERT_TRUE(predict.ok()) << *reply;
-  EXPECT_EQ(predict->label, bundle.expected[0]);
-
-  server.Stop();
-}
-
-TEST_F(ChaosTest, DegradeOffNeverTagsOrReducesQuality) {
-  // The identical overload with the controller off (the default): every
-  // served reply is the exact "ok LABEL fnv1a CHECKSUM" of PR-6/9 — no
-  // tags, no transitions, bit-identical labels — and the queue sheds as
-  // before. Opt-in means OFF changes nothing.
-  const ModelBundle bundle = MakeGbKnnBundle("S5");
-  const Dataset& test = bundle.split.test;
-  Server server(SampledRegistry(bundle), LadderOptions());
-  ASSERT_TRUE(server.Start().ok());
-  ASSERT_TRUE(
-      Failpoints::Instance().Set("server.worker.delay", "delay(8)").ok());
-
-  TestClient client(server.port());
-  const std::string query =
-      FormatPredictPayload("", test.row(0), test.num_features());
-  constexpr int kBurst = 64;
-  for (int i = 0; i < kBurst; ++i) ASSERT_TRUE(client.Send(query).ok());
-  int ok = 0, shed = 0;
-  for (int i = 0; i < kBurst; ++i) {
-    const StatusOr<std::string> reply = client.Recv();
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    if (reply->rfind("ok ", 0) == 0) {
-      EXPECT_EQ(reply->find("degraded"), std::string::npos) << *reply;
-      const StatusOr<PredictReply> predict = ParsePredictReply(*reply);
-      ASSERT_TRUE(predict.ok()) << *reply;
-      EXPECT_EQ(predict->label, bundle.expected[0]);
-      EXPECT_EQ(predict->checksum, bundle.checksum);
-      ++ok;
-    } else {
-      ++shed;
-    }
-  }
-  EXPECT_GT(ok, 0);
-  EXPECT_GT(shed, 0);
-  EXPECT_EQ(server.Stats().requests_degraded, 0);
-  EXPECT_EQ(server.Stats().degrade_transitions, 0);
-
-  const StatusOr<std::string> health = TestClient(server.port()).Call("!health");
-  ASSERT_TRUE(health.ok());
-  EXPECT_NE(health->find(" degrade off"), std::string::npos) << *health;
 
   server.Stop();
 }

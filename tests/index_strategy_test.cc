@@ -29,6 +29,7 @@ TEST(IndexStrategyTest, NameParseRoundTrip) {
   EXPECT_FALSE(ParseIndexStrategy("ball-tree", &out));
   EXPECT_FALSE(ParseIndexStrategy("Tree", &out));
   EXPECT_FALSE(ParseIndexStrategy("", &out));
+  EXPECT_FALSE(ParseIndexStrategy("sampled", &out));
   EXPECT_EQ(out, IndexStrategy::kTree) << "failed parse must not write";
 }
 

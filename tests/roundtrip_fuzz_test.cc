@@ -194,20 +194,6 @@ TEST_P(RoundTripFuzzTest, GbKnnArtifactIsIndexStrategyAgnostic) {
   ball_model.Fit(ds, &fit_rng_ball);
   ASSERT_EQ(ball_model.resolved_index_strategy(), IndexStrategy::kBallTree);
   EXPECT_EQ(ModelToString(ball_model), text);
-
-  // The sampled tier as well: training under kSampled granulates
-  // exactly (the tier only shapes inference), so the artifact bytes
-  // match, and the restored model at recall 1.0 predicts bit-identically
-  // to every exact backend.
-  gbg.index_strategy = IndexStrategy::kSampled;
-  GbKnnClassifier sampled_model(gbg, 1 + GetParam() % 4);
-  Pcg32 fit_rng_sampled(2);
-  sampled_model.Fit(ds, &fit_rng_sampled);
-  ASSERT_EQ(sampled_model.resolved_index_strategy(), IndexStrategy::kSampled);
-  EXPECT_EQ(ModelToString(sampled_model), text);
-  restored->set_index_strategy(IndexStrategy::kSampled);
-  ASSERT_EQ(restored->resolved_index_strategy(), IndexStrategy::kSampled);
-  EXPECT_EQ(restored->PredictBatch(ds.x()), expected);
 }
 
 // The SIMD dispatch level is pure runtime state with a bit-exactness

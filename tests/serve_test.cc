@@ -18,7 +18,6 @@
 #include "ml/decision_tree.h"
 #include "serve/engine.h"
 #include "serve/model_io.h"
-#include "serve/server.h"
 #include "serve_test_util.h"
 #include "simd/simd.h"
 
@@ -345,144 +344,6 @@ TEST_F(EngineTest, ServesIdenticallyUnderEveryDispatchLevel) {
         << "level " << simd::LevelName(level);
   }
   simd::ReresolveFromEnvForTest();
-}
-
-// The sampled tier behind the engine — the gbx_serve load path
-// (artifact -> set_index_strategy -> set_recall_target -> engine):
-// recall 1.0 serves the exact labels; a lower knob still serves
-// deterministically (batch composition and caller threading never leak
-// into predictions).
-TEST_F(EngineTest, SampledStrategyServesDeterministically) {
-  const servetest::ModelBundle bundle = servetest::MakeGbKnnBundle("S5");
-  auto make_sampled_engine = [&bundle](double recall) {
-    LoadedModel model = servetest::LoadBundle(bundle);
-    auto* gbknn = dynamic_cast<GbKnnClassifier*>(model.classifier.get());
-    GBX_CHECK(gbknn != nullptr);
-    gbknn->set_index_strategy(IndexStrategy::kSampled);
-    GBX_CHECK(gbknn->resolved_index_strategy() == IndexStrategy::kSampled);
-    gbknn->set_recall_target(recall);
-    return std::make_unique<InferenceEngine>(std::move(model),
-                                             servetest::SmallBatchOptions());
-  };
-
-  // recall 1.0 (the default): exact labels through the engine.
-  const std::unique_ptr<InferenceEngine> exact = make_sampled_engine(1.0);
-  EXPECT_EQ(ConcurrentPredict(exact.get(), bundle.split.test),
-            bundle.expected);
-
-  // Below 1.0: approximate but deterministic — two engines over the
-  // same artifact and knob agree label for label under concurrency.
-  const std::unique_ptr<InferenceEngine> a = make_sampled_engine(0.6);
-  const std::unique_ptr<InferenceEngine> b = make_sampled_engine(0.6);
-  EXPECT_EQ(ConcurrentPredict(a.get(), bundle.split.test),
-            ConcurrentPredict(b.get(), bundle.split.test));
-}
-
-// --- per-call recall overrides (the degradation ladder's engine hook) ---
-
-// A per-request override must serve exactly what a model *fitted* to
-// that knob serves — recall is a call parameter threaded through
-// ScoredTopK, not mutated model state.
-TEST_F(EngineTest, PerCallRecallOverrideMatchesFittedKnob) {
-  const servetest::ModelBundle bundle = servetest::MakeGbKnnBundle("S5");
-  const Dataset& test = bundle.split.test;
-
-  // Reference labels: the same artifact with the knob fitted in.
-  LoadedModel ref = servetest::LoadBundle(bundle);
-  auto* ref_gbknn = dynamic_cast<GbKnnClassifier*>(ref.classifier.get());
-  ASSERT_NE(ref_gbknn, nullptr);
-  ref_gbknn->set_index_strategy(IndexStrategy::kSampled);
-  ref_gbknn->set_recall_target(0.6);
-  const std::vector<int> fitted = ref_gbknn->PredictBatch(test.x());
-
-  // An engine over a FULL-QUALITY sampled model; recall arrives per call.
-  LoadedModel served = servetest::LoadBundle(bundle);
-  auto* gbknn = dynamic_cast<GbKnnClassifier*>(served.classifier.get());
-  ASSERT_NE(gbknn, nullptr);
-  gbknn->set_index_strategy(IndexStrategy::kSampled);
-  InferenceEngine engine(std::move(served), InferenceEngineOptions{});
-
-  PredictOverrides overrides;
-  overrides.recall = 0.6;
-  for (int i = 0; i < test.size(); ++i) {
-    PredictTiming timing;
-    const StatusOr<int> label =
-        engine.Predict(test.row(i), test.num_features(), &timing, &overrides);
-    ASSERT_TRUE(label.ok()) << label.status().ToString();
-    EXPECT_EQ(*label, fitted[i]) << "query " << i;
-    EXPECT_DOUBLE_EQ(timing.applied_recall, 0.6) << "query " << i;
-  }
-
-  // The model's own knob never moved: a call without the override (and
-  // one at recall 1.0, the "no override" sentinel) still serves the
-  // exact labels, untagged.
-  PredictTiming timing;
-  StatusOr<int> exact = engine.Predict(test.row(0), test.num_features(),
-                                       &timing);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, bundle.expected[0]);
-  EXPECT_EQ(timing.applied_recall, 0.0);
-  overrides.recall = 1.0;
-  exact = engine.Predict(test.row(0), test.num_features(), &timing,
-                         &overrides);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, bundle.expected[0]);
-  EXPECT_EQ(timing.applied_recall, 0.0);
-}
-
-TEST_F(EngineTest, RecallOverrideIsValidatedAndInertOffTheSampledTier) {
-  const servetest::ModelBundle bundle = servetest::MakeGbKnnBundle("S5");
-  const Dataset& test = bundle.split.test;
-  const std::unique_ptr<InferenceEngine> engine =
-      MakeEngine(bundle, InferenceEngineOptions{});
-
-  // Typed rejection, never clamping.
-  PredictOverrides bad;
-  for (const double recall : {-0.25, 1.5}) {
-    bad.recall = recall;
-    EXPECT_EQ(engine->Predict(test.row(0), test.num_features(), nullptr, &bad)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << "recall " << recall;
-  }
-  bad.recall = 0.5;
-  for (const double scale : {0.0, -1.0, 2.0}) {
-    bad.batch_delay_scale = scale;
-    EXPECT_EQ(engine->Predict(test.row(0), test.num_features(), nullptr, &bad)
-                  .status()
-                  .code(),
-              StatusCode::kInvalidArgument)
-        << "batch_delay_scale " << scale;
-  }
-
-  // The bundle resolved off the sampled tier (kAuto never picks it), so
-  // a valid override is inert: exact labels, nothing applied.
-  PredictOverrides overrides;
-  overrides.recall = 0.6;
-  PredictTiming timing;
-  const StatusOr<int> label =
-      engine->Predict(test.row(0), test.num_features(), &timing, &overrides);
-  ASSERT_TRUE(label.ok()) << label.status().ToString();
-  EXPECT_EQ(*label, bundle.expected[0]);
-  EXPECT_EQ(timing.applied_recall, 0.0);
-}
-
-// --- recall flag validation (shared by gbx_serve and Server::Start) ---
-
-TEST(ValidateRecallTest, RejectsOutsideUnitIntervalTyped) {
-  EXPECT_TRUE(ValidateRecall(1.0, "--recall").ok());
-  EXPECT_TRUE(ValidateRecall(0.01, "--recall").ok());
-  EXPECT_TRUE(ValidateRecall(0.5, "--min-recall").ok());
-  for (const double bad :
-       {0.0, -0.3, 1.0001, 7.0,
-        std::numeric_limits<double>::quiet_NaN(),
-        std::numeric_limits<double>::infinity()}) {
-    const Status status = ValidateRecall(bad, "--recall");
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
-    // The message names the offending knob: the CLI prints it verbatim.
-    EXPECT_NE(status.message().find("--recall"), std::string::npos) << bad;
-  }
 }
 
 TEST_F(EngineTest, RejectsMalformedQueriesAndKeepsServing) {

@@ -234,8 +234,7 @@ TEST_F(ServerTest, AdminProtocolAnswersPingListAndStat) {
 }
 
 TEST_F(ServerTest, HealthProbeReportsReadyAndUnready) {
-  // A server with a published model and healthy workers is ready, and
-  // reports the controller off (the default).
+  // A server with a published model and healthy workers is ready.
   const ModelBundle bundle = MakeGbKnnBundle("S5");
   const std::unique_ptr<Server> server =
       StartServer(OneModelRegistry(bundle));
@@ -245,7 +244,12 @@ TEST_F(ServerTest, HealthProbeReportsReadyAndUnready) {
   EXPECT_EQ(payload->rfind("ok health ready", 0), 0) << *payload;
   EXPECT_NE(payload->find(" models 1 "), std::string::npos) << *payload;
   EXPECT_NE(payload->find(" stalled 0 "), std::string::npos) << *payload;
-  EXPECT_NE(payload->find(" degrade off"), std::string::npos) << *payload;
+  // The queue field "queue D/LINE" is the last one.
+  const std::size_t queue = payload->rfind(" queue ");
+  ASSERT_NE(queue, std::string::npos) << *payload;
+  EXPECT_EQ(payload->substr(payload->find('/', queue)),
+            "/" + std::to_string(ServerOptions{}.max_queue_depth))
+      << *payload;
 
   // An empty registry is unready ("no-models") — the load balancer must
   // not route predict traffic at a server that cannot answer it — but
@@ -257,40 +261,15 @@ TEST_F(ServerTest, HealthProbeReportsReadyAndUnready) {
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(payload->rfind("ok health unready", 0), 0) << *payload;
   EXPECT_NE(payload->find("no-models"), std::string::npos) << *payload;
-
-  // With the ladder armed, the probe reports level and recall.
-  ServerOptions opts;
-  opts.degrade_auto = true;
-  const std::unique_ptr<Server> armed =
-      StartServer(OneModelRegistry(bundle), opts);
-  TestClient armed_client(armed->port());
-  payload = armed_client.Call("!health");
-  ASSERT_TRUE(payload.ok());
-  EXPECT_EQ(payload->rfind("ok health ready", 0), 0) << *payload;
-  EXPECT_NE(payload->find(" degrade 0 recall 1"), std::string::npos)
-      << *payload;
 }
 
-TEST_F(ServerTest, StartRejectsBadDegradeConfigTyped) {
+TEST_F(ServerTest, StartRejectsNegativeWorkerStallTyped) {
   const ModelBundle bundle = MakeGbKnnBundle("S5");
-  const auto expect_rejected = [&](ServerOptions opts, const char* what) {
-    Server server(OneModelRegistry(bundle), opts);
-    const Status started = server.Start();
-    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << what;
-    EXPECT_FALSE(server.running()) << what;
-  };
   ServerOptions opts;
-  opts.degrade.min_recall = 1.5;
-  expect_rejected(opts, "min_recall above 1");
-  opts = ServerOptions{};
-  opts.degrade.min_recall = 0.0;
-  expect_rejected(opts, "min_recall zero");
-  opts = ServerOptions{};
-  opts.degrade.low_watermark = 0.9;  // >= high_watermark
-  expect_rejected(opts, "inverted watermarks");
-  opts = ServerOptions{};
   opts.worker_stall_ms = -1.0;
-  expect_rejected(opts, "negative stall deadline");
+  Server server(OneModelRegistry(bundle), opts);
+  EXPECT_EQ(server.Start().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(server.running());
 }
 
 // ---------------------------------------------------------------------------

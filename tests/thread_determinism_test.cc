@@ -193,53 +193,6 @@ TEST(GbKnnStrategyEquivalenceTest, CenterTreePredictionsMatchFlat) {
   }
 }
 
-// The sampled tier rides the same axis: at recall 1.0 it scans every
-// ball, so it must match the flat reference bit for bit; below 1.0 the
-// candidate set is a fixed seeded permutation prefix — approximate
-// against flat, but still bit-identical across thread counts (the
-// kernel scan chunks deterministically and the (score, index) order is
-// total).
-TEST(GbKnnStrategyEquivalenceTest, SampledStrategyDeterminism) {
-  const Dataset train = OverlappingBlobs(900);
-  const Dataset test = OverlappingBlobs(400);
-  for (int k : {1, 3}) {
-    RdGbgConfig gbg;
-    gbg.seed = 15 + k;
-    gbg.index_strategy = IndexStrategy::kFlat;
-    GbKnnClassifier flat(gbg, k);
-    Pcg32 rng_flat(8);
-    flat.Fit(train, &rng_flat);
-    const std::vector<int> expected = flat.PredictBatch(test.x());
-
-    gbg.index_strategy = IndexStrategy::kSampled;
-    GbKnnClassifier sampled(gbg, k);
-    Pcg32 rng_sampled(8);
-    sampled.Fit(train, &rng_sampled);
-    ASSERT_EQ(sampled.resolved_index_strategy(), IndexStrategy::kSampled);
-    // Training is always exact: the sampled knob only shapes inference,
-    // so the granulation underneath must equal the flat-trained one.
-    ASSERT_EQ(sampled.num_balls(), flat.num_balls()) << "k=" << k;
-
-    ASSERT_EQ(sampled.PredictBatch(test.x()), expected)
-        << "recall=1.0 must be bit-identical, k=" << k;
-
-    for (double recall : {0.5, 0.9}) {
-      sampled.set_recall_target(recall);
-      const std::vector<int> reference = sampled.PredictBatch(test.x());
-      for (int threads : ThreadCountsUnderTest()) {
-        gbg.num_threads = threads;
-        GbKnnClassifier clf(gbg, k);
-        Pcg32 rng(8);
-        clf.Fit(train, &rng);
-        clf.set_recall_target(recall);
-        ASSERT_EQ(clf.PredictBatch(test.x()), reference)
-            << "k=" << k << " recall=" << recall << " threads=" << threads;
-      }
-      gbg.num_threads = 1;
-    }
-  }
-}
-
 TEST(KMeansThreadDeterminismTest, AssignmentsAndCentersIdentical) {
   const Dataset ds = OverlappingBlobs(1200);
   KMeansConfig cfg;
