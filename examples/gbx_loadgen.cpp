@@ -75,6 +75,8 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 
+#include "cli_flags.h"
+
 namespace {
 
 using namespace gbx;
@@ -116,55 +118,76 @@ int Usage() {
   return 2;
 }
 
+bool Reject(const std::string& message) {
+  return cli::Reject("gbx_loadgen", message);
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* v = nullptr;
     if (flag == "--ping") {
       args->ping = true;
-    } else if (flag == "--self") {
+      continue;
+    }
+    if (flag == "--self") {
       args->self = true;
-    } else if (flag == "--print-server-metrics") {
+      continue;
+    }
+    if (flag == "--print-server-metrics") {
       args->print_server_metrics = true;
-    } else if (!(v = next())) {
-      std::fprintf(stderr, "gbx_loadgen: %s needs a value\n", flag.c_str());
-      return false;
+      continue;
+    }
+    if (i + 1 >= argc) return Reject(flag + " needs a value");
+    const char* v = argv[++i];
+    // Numeric flags: each must parse as one whole token.
+    int* int_flag = flag == "--port"          ? &args->port
+                    : flag == "--connections" ? &args->connections
+                    : flag == "--retries"     ? &args->retries
+                    : flag == "--max-samples" ? &args->max_samples
+                                              : nullptr;
+    double* double_flag = flag == "--qps"           ? &args->qps
+                          : flag == "--seconds"     ? &args->seconds
+                          : flag == "--deadline-ms" ? &args->deadline_ms
+                          : flag == "--backoff-ms"  ? &args->backoff_ms
+                                                    : nullptr;
+    if (int_flag != nullptr) {
+      if (!cli::ParseNumber(v, int_flag)) {
+        return Reject(flag + " wants an integer, got '" + v + "'");
+      }
+    } else if (double_flag != nullptr) {
+      if (!cli::ParseNumber(v, double_flag)) {
+        return Reject(flag + " wants a number, got '" + v + "'");
+      }
+    } else if (flag == "--seed") {
+      if (!cli::ParseNumber(v, &args->seed)) {
+        return Reject(flag + " wants an integer, got '" + v + "'");
+      }
     } else if (flag == "--host") {
       args->host = v;
-    } else if (flag == "--port") {
-      args->port = std::atoi(v);
     } else if (flag == "--model") {
       args->model = v;
     } else if (flag == "--queries") {
       args->queries = v;
     } else if (flag == "--out") {
       args->out = v;
-    } else if (flag == "--qps") {
-      args->qps = std::atof(v);
-    } else if (flag == "--seconds") {
-      args->seconds = std::atof(v);
-    } else if (flag == "--connections") {
-      args->connections = std::atoi(v);
-    } else if (flag == "--deadline-ms") {
-      args->deadline_ms = std::atof(v);
-    } else if (flag == "--retries") {
-      args->retries = std::atoi(v);
-    } else if (flag == "--backoff-ms") {
-      args->backoff_ms = std::atof(v);
     } else if (flag == "--dataset") {
       args->dataset = v;
-    } else if (flag == "--max-samples") {
-      args->max_samples = std::atoi(v);
-    } else if (flag == "--seed") {
-      args->seed = std::strtoull(v, nullptr, 10);
     } else if (flag == "--admin") {
       args->admin = v;
     } else {
-      std::fprintf(stderr, "gbx_loadgen: unknown flag %s\n", flag.c_str());
-      return false;
+      return Reject("unknown flag " + flag);
+    }
+    // Range checks before any socket work: a port htons would truncate,
+    // a run with no connection to send on, or an arrival schedule i/qps
+    // that is not a time.
+    if (flag == "--port" && (args->port < 0 || args->port > 65535)) {
+      return Reject(std::string("--port must be in [0, 65535], got ") + v);
+    }
+    if (flag == "--connections" && args->connections < 1) {
+      return Reject(std::string("--connections must be >= 1, got ") + v);
+    }
+    if (flag == "--qps" && args->qps <= 0.0) {
+      return Reject(std::string("--qps must be > 0, got ") + v);
     }
   }
   return true;
@@ -405,7 +428,7 @@ int RunReplay(const Args& args) {
 int RunOpenLoop(const Args& args) {
   const int total =
       std::max(1, static_cast<int>(args.qps * args.seconds));
-  const int connections = std::max(1, args.connections);
+  const int connections = args.connections;
 
   // In-distribution queries need the model's feature ranges: ask !list
   // for dims... simpler and always right: pull one model's metadata via

@@ -20,7 +20,7 @@
 //   bench    sustained-load self-test: N caller threads fire random
 //            in-distribution queries through the batching engine for a
 //            few seconds, then the engine stats (requests, batches,
-//            p50/p99 latency, QPS) are printed:
+//            p50/p99 latency) and the run's throughput are printed:
 //              gbx_serve bench --model-file model.gbx --callers 8
 //
 //   serve    network front-end (serve/server.h): bind a TCP port and
@@ -42,11 +42,10 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/num_text.h"
+#include "common/stopwatch.h"
 #include "data/csv.h"
 #include "data/paper_suite.h"
 #include "index/index_strategy.h"
@@ -57,6 +56,8 @@
 #include "serve/protocol.h"
 #include "serve/registry.h"
 #include "serve/server.h"
+
+#include "cli_flags.h"
 
 namespace {
 
@@ -126,26 +127,8 @@ int Usage() {
   return 2;
 }
 
-// Reads `text` as exactly one number token of type T (int, uint64 or
-// double): trailing characters, overflow, "nan" and "inf" all fail.
-template <typename T>
-bool ParseNumber(const char* text, T* out) {
-  NumScanner in(text);
-  bool read = false;
-  if constexpr (std::is_same_v<T, double>) {
-    read = in.ReadDouble(out);
-  } else if constexpr (std::is_same_v<T, int>) {
-    read = in.ReadInt(out);
-  } else {
-    read = in.ReadUint64(out);
-  }
-  return read && in.AtEnd();
-}
-
 bool Reject(const std::string& message) {
-  std::fprintf(stderr, "gbx_serve: %s\n",
-               Status::InvalidArgument(message).ToString().c_str());
-  return false;
+  return cli::Reject("gbx_serve", message);
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -178,15 +161,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
         : flag == "--worker-stall-ms" ? &args->worker_stall_ms
                                       : nullptr;
     if (int_flag != nullptr) {
-      if (!ParseNumber(v, int_flag)) {
+      if (!cli::ParseNumber(v, int_flag)) {
         return Reject(flag + " wants an integer, got '" + v + "'");
       }
     } else if (double_flag != nullptr) {
-      if (!ParseNumber(v, double_flag)) {
+      if (!cli::ParseNumber(v, double_flag)) {
         return Reject(flag + " wants a number, got '" + v + "'");
       }
     } else if (flag == "--seed") {
-      if (!ParseNumber(v, &args->seed)) {
+      if (!cli::ParseNumber(v, &args->seed)) {
         return Reject(flag + " wants an integer, got '" + v + "'");
       }
     } else if (flag == "--model") {
@@ -318,16 +301,30 @@ int RunTrain(const Args& args) {
   return 0;
 }
 
-void PrintStats(const InferenceEngine& engine, std::FILE* to) {
-  const InferenceEngineStats s = engine.Stats();
+long long CounterValue(const char* name) {
+  return static_cast<long long>(
+      metrics::MetricsRegistry::Default().GetCounter(name)->Value());
+}
+
+// Engine counts as the registry's gbx_engine_* series hold them: totals
+// over every engine in this process (all zero in a -DGBX_METRICS=OFF
+// build). Call it once an engine exists, so the families are registered.
+// Returns the request count.
+long long PrintEngineStats(std::FILE* to) {
+  const long long requests = CounterValue("gbx_engine_requests_total");
+  const long long batches = CounterValue("gbx_engine_batches_total");
+  const metrics::HistogramSnapshot latency =
+      metrics::MetricsRegistry::Default()
+          .GetHistogram("gbx_engine_request_ms")
+          ->Snapshot();
   std::fprintf(to,
                "engine stats: %lld requests in %lld batches "
                "(%.1f mean batch)\n"
-               "latency: p50 %.3f ms, p99 %.3f ms, max %.3f ms\n"
-               "throughput: %.0f predictions/s\n",
-               static_cast<long long>(s.requests),
-               static_cast<long long>(s.batches), s.mean_batch_size,
-               s.p50_ms, s.p99_ms, s.max_ms, s.qps);
+               "latency: p50 %.3f ms, p99 %.3f ms, max %.3f ms\n",
+               requests, batches,
+               batches > 0 ? static_cast<double>(requests) / batches : 0.0,
+               latency.Quantile(0.50), latency.Quantile(0.99), latency.max);
+  return requests;
 }
 
 StatusOr<LoadedModel> LoadModelAt(const std::string& path, const Args& args) {
@@ -382,7 +379,7 @@ int RunPredict(const Args& args) {
     for (int label : *labels) std::printf("%d\n", label);
     std::fprintf(stderr, "accuracy vs CSV labels: %.4f\n",
                  Accuracy(data->y(), *labels));
-    if (args.stats) PrintStats(engine, stderr);
+    if (args.stats) PrintEngineStats(stderr);
     return 0;
   }
 
@@ -418,7 +415,7 @@ int RunPredict(const Args& args) {
     }
     std::printf("%d\n", *label);
   }
-  if (args.stats) PrintStats(engine, stderr);
+  if (args.stats) PrintEngineStats(stderr);
   return 0;
 }
 
@@ -447,6 +444,7 @@ int RunBench(const Args& args) {
               opts.max_batch_delay_ms);
 
   std::atomic<long long> errors{0};
+  const Stopwatch wall;
   std::vector<std::thread> callers;
   callers.reserve(args.callers);
   for (int t = 0; t < args.callers; ++t) {
@@ -463,12 +461,14 @@ int RunBench(const Args& args) {
     });
   }
   for (std::thread& caller : callers) caller.join();
+  const double elapsed_s = wall.ElapsedSeconds();
   if (errors.load() != 0) {
     std::fprintf(stderr, "gbx_serve bench: %lld failed predictions\n",
                  errors.load());
     return 1;
   }
-  PrintStats(engine, stdout);
+  const long long requests = PrintEngineStats(stdout);
+  std::printf("throughput: %.0f predictions/s\n", requests / elapsed_s);
   return 0;
 }
 
@@ -574,21 +574,20 @@ int RunServe(const Args& args) {
   }
   std::printf("draining...\n");
   server.Stop();
-  const ServerStats s = server.Stats();
   std::printf("server stats: %lld connections (%lld closed), "
               "%lld frames in, %lld frames out, %lld protocol errors\n",
-              static_cast<long long>(s.connections_accepted),
-              static_cast<long long>(s.connections_closed),
-              static_cast<long long>(s.frames_received),
-              static_cast<long long>(s.frames_sent),
-              static_cast<long long>(s.protocol_errors));
+              CounterValue("gbx_server_connections_accepted_total"),
+              CounterValue("gbx_server_connections_closed_total"),
+              CounterValue("gbx_server_frames_received_total"),
+              CounterValue("gbx_server_frames_sent_total"),
+              CounterValue("gbx_server_protocol_errors_total"));
   std::printf("overload stats: %lld shed, %lld worker stalls\n",
-              static_cast<long long>(s.requests_shed),
-              static_cast<long long>(s.worker_stalls));
+              CounterValue("gbx_server_requests_shed_total"),
+              CounterValue("gbx_server_worker_stalls_total"));
   for (const auto& m : registry->List()) {
-    std::printf("model %s v%d:\n", m->name.c_str(), m->version);
-    PrintStats(*m->engine, stdout);
+    std::printf("model %s v%d\n", m->name.c_str(), m->version);
   }
+  PrintEngineStats(stdout);
   return 0;
 }
 

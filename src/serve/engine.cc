@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/failpoint.h"
+#include "common/stopwatch.h"
 
 namespace gbx {
 
@@ -75,9 +76,6 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    double expected = -1.0;
-    first_enqueue_s_.compare_exchange_strong(
-        expected, lifetime_.ElapsedSeconds(), std::memory_order_relaxed);
     if (pending_ == nullptr) {
       pending_ = std::make_shared<MicroBatch>();
       pending_->created_tp = entry_tp;
@@ -116,15 +114,14 @@ StatusOr<int> InferenceEngine::Predict(const double* x, int dims,
     cv_.wait(lock, [&] { return batch->done; });
   }
 
-  const double ms = watch.ElapsedMillis();
-  RecordCompletion(ms, 1);
+  m_requests_->Inc();
+  m_latency_ms_->Observe(watch.ElapsedMillis());
   if (timing != nullptr) {
     // `batch` is done: its timing fields are immutable now.
     timing->batch_assembly_ms =
         std::max(0.0, MsBetween(entry_tp, batch->dispatch_tp));
     timing->compute_ms = batch->compute_ms;
     timing->batch_size = batch->count;
-    timing->total_ms = ms;
   }
   return batch->labels[slot];
 }
@@ -141,22 +138,13 @@ StatusOr<std::vector<int>> InferenceEngine::PredictBatch(const Matrix& x) {
   if (x.rows() == 0) return std::vector<int>{};
 
   Stopwatch watch;
-  double expected = -1.0;
-  first_enqueue_s_.compare_exchange_strong(
-      expected, lifetime_.ElapsedSeconds(), std::memory_order_relaxed);
   std::vector<int> labels = model_.classifier->PredictBatch(x);
   const double ms = watch.ElapsedMillis();
-  for (int i = 0; i < x.rows(); ++i) {
-    latency_.Observe(ms);
-    m_latency_ms_->Observe(ms);
-  }
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  for (int i = 0; i < x.rows(); ++i) m_latency_ms_->Observe(ms);
   m_batches_->Inc();
   m_batch_size_->Observe(static_cast<double>(x.rows()));
   m_compute_ms_->Observe(ms);
-  requests_.fetch_add(x.rows(), std::memory_order_relaxed);
   m_requests_->Inc(x.rows());
-  metrics::detail::AtomicMax(last_complete_s_, lifetime_.ElapsedSeconds());
   return labels;
 }
 
@@ -177,44 +165,12 @@ void InferenceEngine::Dispatch(const std::shared_ptr<MicroBatch>& batch) {
     batch->compute_ms = compute_ms;
     batch->done = true;
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
   m_batches_->Inc();
   m_batch_size_->Observe(static_cast<double>(batch->count));
   m_coalesce_delay_ms_->Observe(
       std::max(0.0, MsBetween(batch->created_tp, dispatch_tp)));
   m_compute_ms_->Observe(compute_ms);
   cv_.notify_all();
-}
-
-void InferenceEngine::RecordCompletion(double ms, std::int64_t n_requests) {
-  requests_.fetch_add(n_requests, std::memory_order_relaxed);
-  m_requests_->Inc(n_requests);
-  latency_.Observe(ms);
-  m_latency_ms_->Observe(ms);
-  metrics::detail::AtomicMax(last_complete_s_, lifetime_.ElapsedSeconds());
-}
-
-InferenceEngineStats InferenceEngine::Stats() const {
-  // Lock-free: relaxed loads and a histogram snapshot. Never contends
-  // with Predict() callers (the old implementation sorted a 16k-entry
-  // sliding window under mu_ on every call).
-  InferenceEngineStats s;
-  s.requests = requests_.load(std::memory_order_relaxed);
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.mean_batch_size =
-      s.batches > 0 ? static_cast<double>(s.requests) / s.batches : 0.0;
-  const metrics::HistogramSnapshot snap = latency_.Snapshot();
-  if (snap.count > 0) {
-    s.p50_ms = snap.Quantile(0.50);
-    s.p99_ms = snap.Quantile(0.99);
-    s.max_ms = snap.max;
-  }
-  const double first = first_enqueue_s_.load(std::memory_order_relaxed);
-  const double last = last_complete_s_.load(std::memory_order_relaxed);
-  if (s.requests > 0 && first >= 0 && last > first) {
-    s.qps = static_cast<double>(s.requests) / (last - first);
-  }
-  return s;
 }
 
 }  // namespace gbx

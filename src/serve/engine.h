@@ -14,17 +14,14 @@
 // serial Predict() loop at any thread count and any batching window
 // (enforced by tests/serve_test.cc).
 //
-// The engine tracks request count, batch count, request latency
-// percentiles (p50/p99/max estimated from a fixed-bucket histogram —
-// common/metrics.h), and sustained QPS, exposed as an
-// InferenceEngineStats snapshot. Stats() is lock-free: it never
-// contends with Predict() callers. The engine also feeds the
-// process-wide metrics registry (gbx_engine_* families) for `!metrics`
-// exposition.
+// The engine keeps no counts of its own: every request, batch, latency
+// and compute time goes to the process-wide metrics registry
+// (common/metrics.h, the gbx_engine_* families), which "!metrics",
+// "!stat" and gbx_serve's summaries read. Those series are cumulative
+// process totals over every engine, not per-instance views.
 #ifndef GBX_SERVE_ENGINE_H_
 #define GBX_SERVE_ENGINE_H_
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -34,7 +31,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "serve/model_io.h"
 
 namespace gbx {
@@ -59,24 +55,6 @@ struct PredictTiming {
   double compute_ms = 0.0;
   /// Queries in that batch.
   int batch_size = 0;
-  /// Enqueue -> label available (what the latency histogram records).
-  double total_ms = 0.0;
-};
-
-/// Point-in-time engine statistics.
-struct InferenceEngineStats {
-  std::int64_t requests = 0;
-  std::int64_t batches = 0;
-  /// Mean queries per dispatched batch.
-  double mean_batch_size = 0.0;
-  /// Request latency (enqueue -> label available), milliseconds, over
-  /// the sliding window.
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double max_ms = 0.0;
-  /// Completed requests per second between the first enqueue and the
-  /// last completion (0 until the first request finishes).
-  double qps = 0.0;
 };
 
 class InferenceEngine {
@@ -102,10 +80,9 @@ class InferenceEngine {
 
   /// Whole-batch entry point for callers that already hold a batch
   /// (bulk scoring, the CLI's CSV path). Bypasses coalescing — the
-  /// matrix is dispatched as one batch — but is counted in the stats.
+  /// matrix is dispatched as one batch — but is counted in the
+  /// gbx_engine_* series like coalesced requests.
   StatusOr<std::vector<int>> PredictBatch(const Matrix& x);
-
-  InferenceEngineStats Stats() const;
 
   const Classifier& classifier() const { return *model_.classifier; }
   const LoadedModel& model() const { return model_; }
@@ -131,9 +108,6 @@ class InferenceEngine {
   /// Runs `batch` through the model and publishes the labels.
   void Dispatch(const std::shared_ptr<MicroBatch>& batch);
 
-  /// Completion-side bookkeeping shared by Predict/PredictBatch.
-  void RecordCompletion(double ms, std::int64_t n_requests);
-
   LoadedModel model_;
   InferenceEngineOptions options_;
 
@@ -141,18 +115,8 @@ class InferenceEngine {
   std::condition_variable cv_;
   std::shared_ptr<MicroBatch> pending_;  // open batch accepting queries
 
-  // Stats: all atomic / lock-free so Stats() never contends with the
-  // predict path. `latency_` is a per-instance histogram (NOT shared
-  // through the registry, whose families outlive any one engine).
-  std::atomic<std::int64_t> requests_{0};
-  std::atomic<std::int64_t> batches_{0};
-  metrics::Histogram latency_;
-  Stopwatch lifetime_;
-  std::atomic<double> first_enqueue_s_{-1.0};
-  std::atomic<double> last_complete_s_{-1.0};
-
-  // Registry-side families (process totals for `!metrics`). Cached at
-  // construction; owned by MetricsRegistry::Default().
+  // Registry families (process totals). Cached at construction; owned
+  // by MetricsRegistry::Default().
   metrics::Counter* m_requests_;
   metrics::Counter* m_batches_;
   metrics::Histogram* m_latency_ms_;

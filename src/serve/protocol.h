@@ -16,9 +16,17 @@
 //             result the client has already given up on.
 //   admin     "!ping"                   liveness probe -> "ok pong"
 //             "!list"                   registry contents
-//             "!stat NAME"              engine stats for one model plus
-//                                       server overload counters (shed /
-//                                       deadline_expired / queue depth)
+//             "!stat NAME"              "ok stats NAME vN requests R
+//                                       batches B mean_batch M p50_ms P
+//                                       p99_ms Q shed S deadline_expired
+//                                       D queue_depth QD queue_peak QP
+//                                       worker_stalls W simd L
+//                                       [strategy X]": NAME's version
+//                                       and scan config; every count is
+//                                       the process-wide registry series
+//                                       "!metrics" shows (all models, not
+//                                       reset by a swap); NOT_FOUND for
+//                                       an unknown NAME
 //             "!swap NAME PATH"         load the artifact at PATH and
 //                                       atomically publish it as NAME
 //                                       (the hot-swap control path)

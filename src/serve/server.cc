@@ -257,14 +257,10 @@ struct Server::Impl {
 
   Stopwatch clock;
 
-  // --- stats: a view over the process-wide metrics registry ------------
+  // --- the process-wide metrics registry's gbx_server_* families -------
   //
-  // The counters are process totals (gbx_server_* families, shared by
-  // every Server in the process and scraped via "!metrics"); Stats()
-  // reports per-server numbers by subtracting the baseline snapshotted
-  // at Start(). queue_peak is a high-water mark, not a counter, so the
-  // per-server value lives in a local atomic (the registry gauge keeps
-  // the process-wide peak).
+  // The only store of serving counts: process totals shared by every
+  // Server in the process, scraped via "!metrics" and read by "!stat".
   metrics::Counter* m_accepted;
   metrics::Counter* m_closed;
   metrics::Counter* m_frames_rx;
@@ -287,8 +283,6 @@ struct Server::Impl {
   metrics::Histogram* h_compute;
   metrics::Histogram* h_encode;
   metrics::Histogram* h_request;
-  ServerStats baseline;  // registry counter values at Start()
-  std::atomic<std::int64_t> queue_peak_local{0};
   std::atomic<std::uint64_t> next_trace_id{1};
 
   Impl() {
@@ -396,16 +390,6 @@ struct Server::Impl {
     poller.Add(listen_fd, false);
     poller.Add(wake_r, false);
 
-    // Per-server stats = registry totals minus this baseline.
-    baseline.connections_accepted = m_accepted->Value();
-    baseline.connections_closed = m_closed->Value();
-    baseline.frames_received = m_frames_rx->Value();
-    baseline.frames_sent = m_frames_tx->Value();
-    baseline.protocol_errors = m_proto_err->Value();
-    baseline.requests_shed = m_shed->Value();
-    baseline.deadlines_expired = m_deadline->Value();
-    baseline.worker_stalls = m_worker_stalls->Value();
-    queue_peak_local.store(0);
     trace::TraceRing::Default().set_slow_threshold_ms(opts.slow_trace_ms);
 
     const int n_workers =
@@ -712,19 +696,14 @@ struct Server::Impl {
     }
     ++c->in_flight;
     outstanding.fetch_add(1);
-    std::size_t depth = 0;
     {
+      // The depth gauge is set under the lock so a racing pop cannot
+      // leave it stale.
       std::lock_guard<std::mutex> lock(queue_mu);
       queue.push_back(Request{c->id, seq, std::move(payload), now_s});
-      depth = queue.size();
-    }
-    g_queue_depth->Set(static_cast<std::int64_t>(depth));
-    g_queue_peak->SetMax(static_cast<std::int64_t>(depth));
-    std::int64_t peak = queue_peak_local.load(std::memory_order_relaxed);
-    while (peak < static_cast<std::int64_t>(depth) &&
-           !queue_peak_local.compare_exchange_weak(
-               peak, static_cast<std::int64_t>(depth),
-               std::memory_order_relaxed)) {
+      const auto depth = static_cast<std::int64_t>(queue.size());
+      g_queue_depth->Set(depth);
+      g_queue_peak->SetMax(depth);
     }
     queue_cv.notify_one();
   }
@@ -830,16 +809,14 @@ struct Server::Impl {
   void WorkerLoop(WorkerSlot* slot) {
     for (;;) {
       Request req;
-      std::size_t depth = 0;
       {
         std::unique_lock<std::mutex> lock(queue_mu);
         queue_cv.wait(lock, [this] { return queue_closed || !queue.empty(); });
         if (queue.empty()) break;  // closed and drained
         req = std::move(queue.front());
         queue.pop_front();
-        depth = queue.size();
+        g_queue_depth->Set(static_cast<std::int64_t>(queue.size()));
       }
-      g_queue_depth->Set(static_cast<std::int64_t>(depth));
       // Heartbeat: busy from here until the completion is pushed. The
       // watchdog's stall clock starts now, so both chaos sites below
       // ("server.worker.delay" and the engine's "engine.predict.stall")
@@ -1021,21 +998,26 @@ struct Server::Impl {
       if (snapshot == nullptr) {
         return ErrorPayload(Status::NotFound("no model named '" + name + "'"));
       }
-      const InferenceEngineStats s = snapshot->engine->Stats();
-      const ServerStats ss = Stats();
-      std::size_t depth = 0;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu);
-        depth = queue.size();
-      }
+      // Every count is a process-wide registry series, the number
+      // "!metrics" shows: summed over all models and never reset by a
+      // swap. The engine families exist once any engine does, and
+      // `snapshot` holds one.
+      auto& reg = metrics::MetricsRegistry::Default();
+      const std::int64_t requests =
+          reg.GetCounter("gbx_engine_requests_total")->Value();
+      const std::int64_t batches =
+          reg.GetCounter("gbx_engine_batches_total")->Value();
+      const metrics::HistogramSnapshot latency =
+          reg.GetHistogram("gbx_engine_request_ms")->Snapshot();
       std::ostringstream out;
       out << "ok stats " << name << " v" << snapshot->version << " requests "
-          << s.requests << " batches " << s.batches << " mean_batch "
-          << s.mean_batch_size << " p50_ms " << s.p50_ms << " p99_ms "
-          << s.p99_ms << " qps " << s.qps << " shed " << ss.requests_shed
-          << " deadline_expired " << ss.deadlines_expired << " queue_depth "
-          << depth << " queue_peak " << ss.queue_peak << " worker_stalls "
-          << ss.worker_stalls;
+          << requests << " batches " << batches << " mean_batch "
+          << (batches > 0 ? static_cast<double>(requests) / batches : 0.0)
+          << " p50_ms " << latency.Quantile(0.50) << " p99_ms "
+          << latency.Quantile(0.99) << " shed " << m_shed->Value()
+          << " deadline_expired " << m_deadline->Value() << " queue_depth "
+          << g_queue_depth->Value() << " queue_peak " << g_queue_peak->Value()
+          << " worker_stalls " << m_worker_stalls->Value();
       // Scan configuration: the SIMD dispatch level is process-global;
       // the strategy is a per-model runtime knob (GB-kNN only — other
       // classifiers have no center scan and report nothing).
@@ -1161,24 +1143,6 @@ struct Server::Impl {
     return ErrorPayload(
         Status::InvalidArgument("unknown admin command '" + cmd + "'"));
   }
-
-  // --- stats -----------------------------------------------------------
-
-  ServerStats Stats() const {
-    // Registry totals minus the Start() baseline: exact per-server
-    // counts from the shared process-wide counters.
-    ServerStats s;
-    s.connections_accepted = m_accepted->Value() - baseline.connections_accepted;
-    s.connections_closed = m_closed->Value() - baseline.connections_closed;
-    s.frames_received = m_frames_rx->Value() - baseline.frames_received;
-    s.frames_sent = m_frames_tx->Value() - baseline.frames_sent;
-    s.protocol_errors = m_proto_err->Value() - baseline.protocol_errors;
-    s.requests_shed = m_shed->Value() - baseline.requests_shed;
-    s.deadlines_expired = m_deadline->Value() - baseline.deadlines_expired;
-    s.queue_peak = queue_peak_local.load(std::memory_order_relaxed);
-    s.worker_stalls = m_worker_stalls->Value() - baseline.worker_stalls;
-    return s;
-  }
 };
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServerOptions options)
@@ -1195,6 +1159,5 @@ void Server::Stop() { impl_->Stop(); }
 bool Server::running() const { return impl_->running.load(); }
 int Server::port() const { return impl_->bound_port; }
 ModelRegistry& Server::registry() { return *impl_->registry; }
-ServerStats Server::Stats() const { return impl_->Stats(); }
 
 }  // namespace gbx

@@ -45,6 +45,12 @@
 //     liveness/readiness probe (tests/chaos_test.cc);
 //   * Stop() drains: in-flight requests finish and their responses are
 //     flushed (bounded by drain_timeout_s) before sockets close.
+//
+// Serving counts (connections, frames, errors, shed, deadlines, stalls,
+// queue depth and peak) live only in the process-wide metrics registry
+// (common/metrics.h, the gbx_server_* families): totals over every
+// Server in the process, read by "!metrics" and "!stat". A caller that
+// wants one server's share takes a before/after difference.
 #ifndef GBX_SERVE_SERVER_H_
 #define GBX_SERVE_SERVER_H_
 
@@ -113,30 +119,6 @@ struct ServerOptions {
 /// fails with InvalidArgument.
 Status ValidateServerOptions(const ServerOptions& options);
 
-/// Point-in-time server statistics. Since PR 8 this is a *view* over
-/// the process-wide metrics registry (common/metrics.h, the gbx_server_*
-/// families): each Server snapshots the registry counters at Start()
-/// and reports the deltas, so per-server numbers stay exact while
-/// "!metrics" exposes the same source of truth process-wide.
-struct ServerStats {
-  std::int64_t connections_accepted = 0;
-  std::int64_t connections_closed = 0;
-  std::int64_t frames_received = 0;
-  std::int64_t frames_sent = 0;
-  /// Framing + payload-level errors answered (or closed) so far.
-  std::int64_t protocol_errors = 0;
-  /// Requests answered "error UNAVAILABLE: overloaded" by the bounded
-  /// queues (ServerOptions::max_queue_depth / max_inflight_per_conn).
-  std::int64_t requests_shed = 0;
-  /// Requests whose "timeout_ms=" deadline expired while queued —
-  /// answered "error DEADLINE_EXCEEDED: ..." without predicting.
-  std::int64_t deadlines_expired = 0;
-  /// High-water mark of the worker queue depth since Start().
-  std::int64_t queue_peak = 0;
-  /// Workers declared stalled (and replaced) by the watchdog.
-  std::int64_t worker_stalls = 0;
-};
-
 class Server {
  public:
   explicit Server(std::shared_ptr<ModelRegistry> registry,
@@ -157,7 +139,6 @@ class Server {
   /// The bound port (after Start(); the ephemeral one when port was 0).
   int port() const;
   ModelRegistry& registry();
-  ServerStats Stats() const;
 
  private:
   struct Impl;  // hides the socket/poll machinery from the header

@@ -11,7 +11,8 @@
 //     response or drops a request;
 //   * overload sheds with typed UNAVAILABLE replies while admin
 //     commands still answer, and deadlines expire with typed
-//     DEADLINE_EXCEEDED — both observable via Stats() and "!stat";
+//     DEADLINE_EXCEEDED — both counted in the metrics registry and
+//     shown by "!stat";
 //   * the worker watchdog flags a predict worker stuck past its
 //     deadline, replaces it (capacity survives), and drives the
 //     "!health" probe unready -> ready across the stall.
@@ -31,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "data/split.h"
 #include "ml/gb_knn.h"
@@ -46,7 +48,9 @@ using servetest::MakeGbKnnBundle;
 using servetest::ModelBundle;
 using servetest::ParsePredictReply;
 using servetest::PredictReply;
+using servetest::RegistryDelta;
 using servetest::SmallBatchOptions;
+using servetest::StatCount;
 using servetest::SuiteSplit;
 using servetest::TestClient;
 
@@ -282,6 +286,7 @@ TEST_F(ChaosTest, OverloadShedsTypedRepliesAndAdminStaysResponsive) {
   opts.max_queue_depth = 4;
   Server server(registry, opts);
   ASSERT_TRUE(server.Start().ok());
+  const RegistryDelta delta;
 
   // Each request occupies the single worker for >= 20 ms: a 64-request
   // burst must overflow the 4-deep queue.
@@ -323,16 +328,19 @@ TEST_F(ChaosTest, OverloadShedsTypedRepliesAndAdminStaysResponsive) {
   EXPECT_GT(unavailable, 0);
   EXPECT_EQ(ok + unavailable, kBurst);
 
-  const ServerStats stats = server.Stats();
-  EXPECT_EQ(stats.requests_shed, unavailable);
-  EXPECT_GE(stats.queue_peak, 1);
-
   const StatusOr<std::string> stat = admin.Call("!stat");
   ASSERT_TRUE(stat.ok());
-  EXPECT_NE(stat->find(" shed " + std::to_string(unavailable)),
-            std::string::npos)
-      << *stat;
-  EXPECT_NE(stat->find(" queue_peak "), std::string::npos) << *stat;
+  if (metrics::kCompiledIn) {
+    const std::string shed = "gbx_server_requests_shed_total";
+    EXPECT_EQ(delta(shed), unavailable);
+    EXPECT_EQ(StatCount(*stat, "shed") - delta.Before(shed), unavailable)
+        << *stat;
+    // Every shed here was a full queue (the burst is below the
+    // per-connection cap), so the queue reached its cap.
+    EXPECT_GE(StatCount(*stat, "queue_peak"),
+              static_cast<double>(opts.max_queue_depth))
+        << *stat;
+  }
 
   server.Stop();
 }
@@ -347,6 +355,7 @@ TEST_F(ChaosTest, QueuedDeadlineExpiresWithTypedReply) {
   opts.num_workers = 1;
   Server server(registry, opts);
   ASSERT_TRUE(server.Start().ok());
+  const RegistryDelta delta;
 
   // Request 1 (no deadline) parks the single worker for >= 30 ms;
   // request 2's 1 ms budget burns in the queue behind it.
@@ -371,10 +380,14 @@ TEST_F(ChaosTest, QueuedDeadlineExpiresWithTypedReply) {
   EXPECT_EQ(reply->rfind("error DEADLINE_EXCEEDED", 0), 0) << *reply;
   EXPECT_NE(reply->find("expired"), std::string::npos) << *reply;
 
-  EXPECT_EQ(server.Stats().deadlines_expired, 1);
   const StatusOr<std::string> stat = client.Call("!stat");
   ASSERT_TRUE(stat.ok());
-  EXPECT_NE(stat->find(" deadline_expired 1"), std::string::npos) << *stat;
+  if (metrics::kCompiledIn) {
+    const std::string expired = "gbx_server_deadlines_expired_total";
+    EXPECT_EQ(delta(expired), 1);
+    EXPECT_EQ(StatCount(*stat, "deadline_expired") - delta.Before(expired), 1)
+        << *stat;
+  }
 
   // A generous deadline still predicts normally.
   reply = client.Call(FormatPredictPayload("", test.row(2),
@@ -398,6 +411,7 @@ TEST_F(ChaosTest, WatchdogReplacesStalledWorkerAndHealthRecovers) {
   opts.worker_stall_ms = 50.0;
   Server server(registry, opts);
   ASSERT_TRUE(server.Start().ok());
+  const RegistryDelta delta;
 
   // One request stalls the ONLY worker inside the predict path for
   // 400 ms — eight times the watchdog deadline.
@@ -442,10 +456,14 @@ TEST_F(ChaosTest, WatchdogReplacesStalledWorkerAndHealthRecovers) {
   }
   EXPECT_TRUE(recovered) << "health never recovered after the stall";
 
-  EXPECT_EQ(server.Stats().worker_stalls, 1);
   const StatusOr<std::string> stat = admin.Call("!stat");
   ASSERT_TRUE(stat.ok());
-  EXPECT_NE(stat->find(" worker_stalls 1"), std::string::npos) << *stat;
+  if (metrics::kCompiledIn) {
+    const std::string stalls = "gbx_server_worker_stalls_total";
+    EXPECT_EQ(delta(stalls), 1);
+    EXPECT_EQ(StatCount(*stat, "worker_stalls") - delta.Before(stalls), 1)
+        << *stat;
+  }
 
   server.Stop();
 }

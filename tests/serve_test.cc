@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "data/paper_suite.h"
 #include "data/split.h"
 #include "ml/decision_tree.h"
@@ -301,31 +302,46 @@ using EngineTest = servetest::ServeTestBase;
 TEST_F(EngineTest, MatchesSerialPredictUnderConcurrentCallers) {
   const servetest::ModelBundle bundle = servetest::MakeGbKnnBundle("S5");
   const std::unique_ptr<InferenceEngine> engine = MakeEngine(bundle);
+  const servetest::RegistryDelta delta;
 
   const std::vector<int> got =
       ConcurrentPredict(engine.get(), bundle.split.test);
   EXPECT_EQ(got, bundle.expected);
 
-  const InferenceEngineStats stats = engine->Stats();
-  EXPECT_EQ(stats.requests, bundle.split.test.size());
-  EXPECT_GE(stats.batches, 1);
-  EXPECT_LE(stats.batches, stats.requests);
-  EXPECT_GE(stats.p99_ms, stats.p50_ms);
-  EXPECT_GE(stats.max_ms, stats.p99_ms);
-  EXPECT_GT(stats.qps, 0.0);
+  if (metrics::kCompiledIn) {
+    const int n = bundle.split.test.size();
+    const double requests = delta("gbx_engine_requests_total");
+    const double batches = delta("gbx_engine_batches_total");
+    EXPECT_EQ(requests, n);
+    EXPECT_GE(batches, 1);
+    EXPECT_LE(batches, requests);
+    // Each query rode exactly one batch and was timed once.
+    EXPECT_EQ(delta("gbx_engine_batch_size_sum"), n);
+    EXPECT_EQ(delta("gbx_engine_request_ms_count"), n);
+    EXPECT_GT(delta("gbx_engine_request_ms_sum"), 0.0);
+    const metrics::HistogramSnapshot latency =
+        metrics::MetricsRegistry::Default()
+            .GetHistogram("gbx_engine_request_ms")
+            ->Snapshot();
+    EXPECT_GE(latency.Quantile(0.99), latency.Quantile(0.50));
+    EXPECT_GE(latency.max, latency.Quantile(0.99));
+  }
 }
 
 TEST_F(EngineTest, DirectBatchPathMatchesAndCounts) {
   const servetest::ModelBundle bundle = servetest::MakeGbKnnBundle("S1");
   const std::unique_ptr<InferenceEngine> engine =
       MakeEngine(bundle, InferenceEngineOptions{});
+  const servetest::RegistryDelta delta;
 
   const StatusOr<std::vector<int>> got =
       engine->PredictBatch(bundle.split.test.x());
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(*got, bundle.expected);
-  EXPECT_EQ(engine->Stats().requests, bundle.split.test.size());
-  EXPECT_EQ(engine->Stats().batches, 1);
+  if (metrics::kCompiledIn) {
+    EXPECT_EQ(delta("gbx_engine_requests_total"), bundle.split.test.size());
+    EXPECT_EQ(delta("gbx_engine_batches_total"), 1);
+  }
 }
 
 // An artifact trained under whatever level fitted the bundle must serve

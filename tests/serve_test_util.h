@@ -1,9 +1,10 @@
 // Shared fixture for the serving test batteries (serve_test.cc,
-// server_test.cc, hot_swap_test.cc, protocol_fuzz_test.cc): one place
-// that fits paper-suite models, turns them into artifacts/LoadedModels,
-// and runs concurrent caller threads — honoring GBX_THREADS, so the
-// determinism and asan CI legs (GBX_THREADS=4) drive every suite with
-// the same concurrency instead of per-test ad-hoc thread counts.
+// server_test.cc, hot_swap_test.cc, protocol_fuzz_test.cc,
+// chaos_test.cc): one place that fits paper-suite models, turns them
+// into artifacts/LoadedModels, runs concurrent caller threads — honoring
+// GBX_THREADS, so the determinism and asan CI legs (GBX_THREADS=4) drive
+// every suite with the same concurrency instead of per-test ad-hoc
+// thread counts — and reads serving counts from the metrics registry.
 #ifndef GBX_TESTS_SERVE_TEST_UTIL_H_
 #define GBX_TESTS_SERVE_TEST_UTIL_H_
 
@@ -12,13 +13,18 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <map>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "data/paper_suite.h"
 #include "data/split.h"
@@ -206,6 +212,75 @@ inline StatusOr<PredictReply> ParsePredictReply(const std::string& payload) {
   }
   reply.checksum = checksum;
   return reply;
+}
+
+// --- serving counts: the process-wide metrics registry ---------------
+
+/// Value of `series` in a Prometheus text scrape: the family name plus
+/// its label block, exactly as "!metrics prom" prints it (e.g.
+/// `gbx_server_requests_total{result="ok"}`, `gbx_engine_request_ms_count`).
+/// nullopt when the scrape has no such series.
+inline std::optional<double> ScrapedValue(const std::string& scrape,
+                                          const std::string& series) {
+  const std::string key = series + " ";
+  std::istringstream in(scrape);
+  for (std::string line; std::getline(in, line);) {
+    if (line.compare(0, key.size(), key) == 0) {
+      return std::stod(line.substr(key.size()));
+    }
+  }
+  return std::nullopt;
+}
+
+/// Before/after reader of the metrics registry, the only store of
+/// serving counts. Its series are totals over every engine and server
+/// in the process, and a ctest entry runs a whole test binary, so a
+/// test constructs one before its traffic and asserts on the growth —
+/// the pattern gbxbench's traced layer table uses. Every series reads 0
+/// when metrics are compiled out (!metrics::kCompiledIn), so count
+/// assertions skip there.
+class RegistryDelta {
+ public:
+  RegistryDelta() : before_(Scrape()) {}
+
+  static std::string Scrape() {
+    return metrics::MetricsRegistry::Default().PrometheusText();
+  }
+
+  /// `series` at construction; 0 if it was not registered yet.
+  double Before(const std::string& series) const {
+    return ScrapedValue(before_, series).value_or(0.0);
+  }
+
+  /// Growth of `series` since construction. A series missing from the
+  /// current scrape (a misspelt name) fails the test.
+  double operator()(const std::string& series) const {
+    const std::optional<double> now = ScrapedValue(Scrape(), series);
+    EXPECT_TRUE(now.has_value()) << "no series " << series;
+    return now.value_or(0.0) - Before(series);
+  }
+
+ private:
+  std::string before_;
+};
+
+/// The "FIELD VALUE" pairs that follow "ok stats NAME vN" in a "!stat"
+/// reply, keyed by field.
+inline std::map<std::string, std::string> StatFields(const std::string& reply) {
+  std::istringstream in(reply);
+  std::string ok, stats, name, version, field, value;
+  in >> ok >> stats >> name >> version;
+  std::map<std::string, std::string> fields;
+  while (in >> field >> value) fields[field] = value;
+  return fields;
+}
+
+/// One count of a "!stat" reply; NaN (never equal) when it is missing.
+inline double StatCount(const std::string& reply, const std::string& field) {
+  const std::map<std::string, std::string> fields = StatFields(reply);
+  const auto it = fields.find(field);
+  EXPECT_NE(it, fields.end()) << "no field " << field << " in " << reply;
+  return it == fields.end() ? std::nan("") : std::stod(it->second);
 }
 
 }  // namespace servetest

@@ -31,6 +31,7 @@ using servetest::MakeGbKnnBundle;
 using servetest::ModelBundle;
 using servetest::ParsePredictReply;
 using servetest::PredictReply;
+using servetest::RegistryDelta;
 using servetest::SmallBatchOptions;
 using servetest::TestClient;
 
@@ -68,6 +69,7 @@ TEST_F(ServerTest, SocketPredictionsBitIdenticalAcrossPaperSuite) {
         registry->Publish(spec.id, servetest::LoadBundle(bundles.back())).ok());
   }
   const std::unique_ptr<Server> server = StartServer(registry);
+  const RegistryDelta delta;
 
   for (std::size_t b = 0; b < bundles.size(); ++b) {
     const ModelBundle& bundle = bundles[b];
@@ -92,9 +94,11 @@ TEST_F(ServerTest, SocketPredictionsBitIdenticalAcrossPaperSuite) {
     }
   }
 
-  const ServerStats stats = server->Stats();
-  EXPECT_EQ(stats.protocol_errors, 0);
-  EXPECT_EQ(stats.frames_received, stats.frames_sent);
+  if (metrics::kCompiledIn) {
+    EXPECT_EQ(delta("gbx_server_protocol_errors_total"), 0);
+    EXPECT_EQ(delta("gbx_server_frames_received_total"),
+              delta("gbx_server_frames_sent_total"));
+  }
 }
 
 TEST_F(ServerTest, ConcurrentClientsGetBitIdenticalAnswers) {
@@ -102,6 +106,7 @@ TEST_F(ServerTest, ConcurrentClientsGetBitIdenticalAnswers) {
   const std::unique_ptr<Server> server =
       StartServer(OneModelRegistry(bundle));
   const Dataset& test = bundle.split.test;
+  const RegistryDelta delta;
 
   const int clients = CallerThreads();
   std::vector<std::thread> threads;
@@ -122,11 +127,12 @@ TEST_F(ServerTest, ConcurrentClientsGetBitIdenticalAnswers) {
   }
   for (std::thread& th : threads) th.join();
 
-  const ServerStats stats = server->Stats();
-  EXPECT_EQ(stats.connections_accepted, clients);
-  EXPECT_EQ(stats.frames_received, test.size());
-  EXPECT_EQ(stats.frames_sent, test.size());
-  EXPECT_EQ(stats.protocol_errors, 0);
+  if (metrics::kCompiledIn) {
+    EXPECT_EQ(delta("gbx_server_connections_accepted_total"), clients);
+    EXPECT_EQ(delta("gbx_server_frames_received_total"), test.size());
+    EXPECT_EQ(delta("gbx_server_frames_sent_total"), test.size());
+    EXPECT_EQ(delta("gbx_server_protocol_errors_total"), 0);
+  }
 }
 
 TEST_F(ServerTest, RoutesPerModelAndReportsUnknown) {
@@ -231,6 +237,96 @@ TEST_F(ServerTest, AdminProtocolAnswersPingListAndStat) {
   payload = client.Call("!frobnicate");
   ASSERT_TRUE(payload.ok());
   EXPECT_EQ(payload->rfind("error INVALID_ARGUMENT", 0), 0) << *payload;
+}
+
+// "!stat" is a view of the metrics registry: after a burst, with no
+// traffic in between, every count it prints is the in-process value of
+// the series "!metrics" exposes, and its derived fields are computed
+// from them. The counts are process-wide, so both models report the
+// same totals.
+TEST_F(ServerTest, StatCountsAreTheRegistrySeries) {
+  if (!metrics::kCompiledIn) {
+    GTEST_SKIP() << "metrics sites compiled out (GBX_METRICS=OFF)";
+  }
+  const ModelBundle alpha = MakeGbKnnBundle("S1");
+  const ModelBundle beta = MakeGbKnnBundle("S2");
+  auto registry = std::make_shared<ModelRegistry>(SmallBatchOptions());
+  ASSERT_TRUE(registry->Publish("alpha", servetest::LoadBundle(alpha)).ok());
+  ASSERT_TRUE(registry->Publish("beta", servetest::LoadBundle(beta)).ok());
+  ServerOptions opts;
+  opts.default_model = "alpha";
+  opts.max_inflight_per_conn = 8;  // the pipelined burst may shed
+  const std::unique_ptr<Server> server = StartServer(registry, opts);
+  const RegistryDelta delta;
+
+  TestClient client(server->port());
+  int sent = 0;
+  for (const auto& [name, bundle] :
+       {std::pair<const char*, const ModelBundle*>{"alpha", &alpha},
+        {"beta", &beta}}) {
+    const Dataset& test = bundle->split.test;
+    for (int i = 0; i < test.size(); ++i, ++sent) {
+      ASSERT_TRUE(client
+                      .Send(FormatPredictPayload(name, test.row(i),
+                                                 test.num_features()))
+                      .ok());
+    }
+  }
+  for (int i = 0; i < sent; ++i) ASSERT_TRUE(client.Recv().ok());
+  // Every request not shed was predicted once.
+  EXPECT_EQ(delta("gbx_engine_requests_total"),
+            sent - delta("gbx_server_requests_shed_total"));
+
+  const std::map<std::string, std::string> series = {
+      {"requests", "gbx_engine_requests_total"},
+      {"batches", "gbx_engine_batches_total"},
+      {"shed", "gbx_server_requests_shed_total"},
+      {"deadline_expired", "gbx_server_deadlines_expired_total"},
+      {"queue_depth", "gbx_server_queue_depth"},
+      {"queue_peak", "gbx_server_queue_peak"},
+      {"worker_stalls", "gbx_server_worker_stalls_total"},
+  };
+  for (const char* model : {"alpha", "beta"}) {
+    const StatusOr<std::string> stat =
+        client.Call(std::string("!stat ") + model);
+    ASSERT_TRUE(stat.ok());
+    EXPECT_EQ(stat->rfind(std::string("ok stats ") + model + " v1 ", 0), 0)
+        << *stat;
+    const std::string scrape = servetest::RegistryDelta::Scrape();
+    const metrics::HistogramSnapshot latency =
+        metrics::MetricsRegistry::Default()
+            .GetHistogram("gbx_engine_request_ms")
+            ->Snapshot();
+    const std::map<std::string, std::string> fields =
+        servetest::StatFields(*stat);
+    for (const auto& [field, name] : series) {
+      ASSERT_EQ(fields.count(field), 1u) << field << " missing: " << *stat;
+      const std::optional<double> value = servetest::ScrapedValue(scrape, name);
+      ASSERT_TRUE(value.has_value()) << "no series " << name;
+      EXPECT_EQ(std::stod(fields.at(field)), *value)
+          << field << " vs " << name << ": " << *stat;
+    }
+    const double requests = std::stod(fields.at("requests"));
+    // The derived fields, formatted as "!stat" formats them.
+    auto text = [](double v) {
+      std::ostringstream out;
+      out << v;
+      return out.str();
+    };
+    EXPECT_EQ(fields.at("mean_batch"),
+              text(requests / std::stod(fields.at("batches"))));
+    EXPECT_EQ(fields.at("p50_ms"), text(latency.Quantile(0.50)));
+    EXPECT_EQ(fields.at("p99_ms"), text(latency.Quantile(0.99)));
+    // No other field is a count: a new one must join `series` above.
+    for (const auto& [field, value] : fields) {
+      if (series.count(field) == 0) {
+        EXPECT_TRUE(field == "mean_batch" || field == "p50_ms" ||
+                    field == "p99_ms" || field == "simd" ||
+                    field == "strategy")
+            << "unmapped !stat field " << field << " " << value;
+      }
+    }
+  }
 }
 
 TEST_F(ServerTest, HealthProbeReportsReadyAndUnready) {
