@@ -43,7 +43,6 @@
 #include "bench_json.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/gb_knn.h"
 #include "simd/simd.h"

@@ -41,10 +41,10 @@
 #include "data/validate.h"      // IWYU pragma: export
 
 // index/ — exact nearest-neighbor search behind every distance-based
-// component: brute-force scan, static KD-tree, and a deletion-capable
-// dynamic KD-tree, one NeighborIndex interface plus the flat/tree
-// strategy knob.
-#include "index/ball_tree.h"       // IWYU pragma: export
+// component: brute-force scan, static KD-tree, the deletion-capable
+// dynamic trees (DynamicKdTree and BallTree, one tombstoned tree over a
+// box or a covering-ball node bound), the shared Neighbor result types,
+// and the flat/tree/balltree strategy knob.
 #include "index/brute_force.h"     // IWYU pragma: export
 #include "index/dynamic_kd_tree.h" // IWYU pragma: export
 #include "index/index_strategy.h"  // IWYU pragma: export

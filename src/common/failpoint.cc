@@ -9,10 +9,22 @@
 #include <thread>
 
 #include "common/metrics.h"
+#include "common/num_text.h"
 
 namespace gbx {
 
 namespace {
+
+/// Parses a non-empty run of decimal digits that fits an int. Signs,
+/// blanks and overflow are malformed.
+bool ParseCount(const std::string& digits, int* v) {
+  if (digits.empty()) return false;
+  for (const char c : digits) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+  }
+  NumScanner scan(digits);
+  return scan.ReadInt(v) && scan.AtEnd();
+}
 
 /// Parses "action" or "action(ARG)" into *hit. Returns false on
 /// malformed input.
@@ -24,13 +36,9 @@ bool ParseAction(const std::string& text, FailpointHit* hit) {
   if (paren != std::string::npos) {
     if (text.back() != ')') return false;
     word = text.substr(0, paren);
-    const std::string digits =
-        text.substr(paren + 1, text.size() - paren - 2);
-    if (digits.empty()) return false;
-    for (const char c : digits) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (!ParseCount(text.substr(paren + 1, text.size() - paren - 2), &arg)) {
+      return false;
     }
-    arg = std::atoi(digits.c_str());
     has_arg = true;
   }
   using Action = FailpointHit::Action;
@@ -58,13 +66,8 @@ bool ParseModifier(const std::string& text, bool* once, int* every_k) {
     return true;
   }
   if (text.rfind("every(", 0) == 0 && text.back() == ')') {
-    const std::string digits = text.substr(6, text.size() - 7);
-    if (digits.empty()) return false;
-    for (const char c : digits) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-    }
-    *every_k = std::atoi(digits.c_str());
-    return *every_k >= 1;
+    return ParseCount(text.substr(6, text.size() - 7), every_k) &&
+           *every_k >= 1;
   }
   return false;
 }

@@ -12,7 +12,6 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/scaler.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "index/neighbor_index.h"
 #include "simd/simd.h"
@@ -331,8 +330,9 @@ class ResidentNeighborView {
 // like the flat path's resident copy. Because the query returns the
 // (dist2, index)-sorted prefix of the same total order the flat scan
 // sorts by, the strategies are interchangeable bit-for-bit. Tree is
-// DynamicKdTree or BallTree — both serve KNearestSquared in that exact
-// order, differing only in pruning geometry (boxes vs metric balls).
+// DynamicKdTree or BallTree, the two instantiations of one tombstoned
+// tree: both serve KNearestSquared in that exact order and differ only
+// in the node bound they prune with (boxes vs metric balls).
 template <typename Tree>
 class TreeNeighborStream {
  public:

@@ -10,17 +10,19 @@
 
 namespace gbx {
 
-class BruteForceIndex : public NeighborIndex {
+class BruteForceIndex {
  public:
   /// `points` must outlive the index.
   explicit BruteForceIndex(const Matrix* points);
 
-  std::vector<Neighbor> KNearest(const double* query, int k) const override;
+  /// The k nearest points to `query`, ranked by (squared distance,
+  /// index), Euclidean distances in the result. Returns fewer than k
+  /// when the index holds fewer points.
+  std::vector<Neighbor> KNearest(const double* query, int k) const;
+  /// All points with squared distance <= radius², sorted by (distance,
+  /// index).
   std::vector<Neighbor> RadiusSearch(const double* query,
-                                     double radius) const override;
-
-  int size() const override { return points_->rows(); }
-  int dims() const override { return points_->cols(); }
+                                     double radius) const;
 
  private:
   const Matrix* points_;

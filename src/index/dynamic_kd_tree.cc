@@ -1,25 +1,55 @@
 #include "index/dynamic_kd_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace gbx {
 
-namespace {
-
-bool WorseNeighbor(const Neighbor& a, const Neighbor& b) { return a < b; }
-bool WorseSquared(const SquaredNeighbor& a, const SquaredNeighbor& b) {
-  return a < b;
+void BoxBound::Append(const Matrix& points, const int* /*ids*/,
+                      int /*count*/, const double* lo, const double* hi) {
+  const int d = points.cols();
+  boxes_.insert(boxes_.end(), lo, lo + d);
+  boxes_.insert(boxes_.end(), hi, hi + d);
 }
 
-}  // namespace
+void BallBound::Append(const Matrix& points, const int* ids, int count,
+                       const double* /*lo*/, const double* /*hi*/) {
+  // Centroid: the per-dimension mean, summed in `ids` order so the
+  // structure is deterministic. The covering radius is the largest
+  // *computed* centroid distance — the quantity the pruning bound must
+  // dominate.
+  const int d = points.cols();
+  centroids_.resize(centroids_.size() + d, 0.0);
+  double* centroid = centroids_.data() + centroids_.size() - d;
+  for (int i = 0; i < count; ++i) {
+    const double* row = points.Row(ids[i]);
+    for (int j = 0; j < d; ++j) centroid[j] += row[j];
+  }
+  for (int j = 0; j < d; ++j) centroid[j] /= count;
+  double radius = 0.0;
+  for (int i = 0; i < count; ++i) {
+    radius =
+        std::max(radius, EuclideanDistance(centroid, points.Row(ids[i]), d));
+  }
+  radii_.push_back(radius);
+}
 
-DynamicKdTree::DynamicKdTree(const Matrix* points, int leaf_size)
-    : DynamicKdTree(points, nullptr, leaf_size) {}
+double BallBound::MinDist(int node, const double* query, int d) const {
+  const double dc = EuclideanDistance(
+      query, &centroids_[static_cast<std::size_t>(node) * d], d);
+  const double radius = radii_[node];
+  // Triangle inequality: every member distance >= dc − radius. Both
+  // operands are computed values with relative error O(d·eps); the
+  // kFpSlack deflation (see the header) turns the bound into a certain
+  // lower bound on the members' *computed* distances.
+  const double lb = (dc - radius) - kFpSlack * (dc + radius);
+  return lb > 0.0 ? lb : 0.0;
+}
 
-DynamicKdTree::DynamicKdTree(const Matrix* points,
-                             const double* point_weights, int leaf_size)
+template <typename Bound>
+TombstonedTree<Bound>::TombstonedTree(const Matrix* points,
+                                      const double* point_weights,
+                                      int leaf_size)
     : points_(points), weights_(point_weights), leaf_size_(leaf_size) {
   GBX_CHECK(points != nullptr);
   GBX_CHECK_GE(leaf_size, 1);
@@ -28,16 +58,18 @@ DynamicKdTree::DynamicKdTree(const Matrix* points,
   point_leaf_.assign(n, -1);
   order_.resize(n);
   for (int i = 0; i < n; ++i) order_[i] = i;
+  extent_.resize(2 * static_cast<std::size_t>(points_->cols()));
   live_ = n;
   built_size_ = n;
   if (n > 0) {
     nodes_.reserve(2 * order_.size() / leaf_size_ + 4);
-    boxes_.reserve(nodes_.capacity() * 2 * points_->cols());
+    bound_.Reserve(nodes_.capacity(), points_->cols());
     root_ = Build(0, n, -1);
   }
 }
 
-int DynamicKdTree::Build(int begin, int end, int parent) {
+template <typename Bound>
+int TombstonedTree<Bound>::Build(int begin, int end, int parent) {
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   nodes_[node_id].parent = parent;
@@ -50,14 +82,10 @@ int DynamicKdTree::Build(int begin, int end, int parent) {
     nodes_[node_id].max_weight = max_w;
   }
 
-  // The bounding box over this range doubles as the split heuristic: the
-  // widest dimension is the split dimension (round-robin is pointless
-  // once real spreads are known), and queries prune on the smallest
-  // distance to the box — far tighter than the split plane alone at
-  // medium dimensionality.
+  // The range's per-dimension extent picks the split (the widest
+  // dimension) and is the KD-tree's node box.
   const int d = points_->cols();
-  boxes_.resize(boxes_.size() + 2 * static_cast<std::size_t>(d));
-  double* lo = &boxes_[static_cast<std::size_t>(node_id) * 2 * d];
+  double* lo = extent_.data();
   double* hi = lo + d;
   int best_dim = 0;
   double best_spread = -1.0;
@@ -76,6 +104,7 @@ int DynamicKdTree::Build(int begin, int end, int parent) {
       best_dim = j;
     }
   }
+  bound_.Append(*points_, &order_[begin], end - begin, lo, hi);
   // A zero best spread means every point in the range is identical; the
   // range stays one (possibly oversized) leaf.
   if (end - begin <= leaf_size_ || best_spread <= 0.0) {
@@ -102,21 +131,16 @@ int DynamicKdTree::Build(int begin, int end, int parent) {
   return node_id;
 }
 
-double DynamicKdTree::BoxMinD2(int node_id, const double* query) const {
-  const int d = points_->cols();
-  const double* lo = &boxes_[static_cast<std::size_t>(node_id) * 2 * d];
-  return BoxMinSquaredDistance(lo, lo + d, query, d);
-}
-
-bool DynamicKdTree::alive(int i) const {
+template <typename Bound>
+bool TombstonedTree<Bound>::alive(int i) const {
   GBX_CHECK(i >= 0 && i < points_->rows());
   return alive_[i] != 0;
 }
 
-void DynamicKdTree::Remove(int i) {
+template <typename Bound>
+void TombstonedTree<Bound>::Remove(int i) {
   GBX_CHECK(i >= 0 && i < points_->rows());
-  GBX_CHECK_MSG(alive_[i] != 0,
-                "DynamicKdTree::Remove: point already removed");
+  GBX_CHECK_MSG(alive_[i] != 0, "Remove: point already removed");
   alive_[i] = 0;
   --live_;
   ++tombstones_;
@@ -129,7 +153,8 @@ void DynamicKdTree::Remove(int i) {
   if (2 * tombstones_ > built_size_) Rebuild();
 }
 
-void DynamicKdTree::Rebuild() {
+template <typename Bound>
+void TombstonedTree<Bound>::Rebuild() {
   order_.clear();
   const int n = points_->rows();
   for (int i = 0; i < n; ++i) {
@@ -139,58 +164,30 @@ void DynamicKdTree::Rebuild() {
   tombstones_ = 0;
   ++rebuilds_;
   nodes_.clear();
-  boxes_.clear();
+  bound_.Clear();
   root_ = built_size_ > 0 ? Build(0, built_size_, -1) : -1;
 }
 
-void DynamicKdTree::SearchKnn(int node_id, const double* query, int k,
-                              std::vector<Neighbor>* heap) const {
-  // Neighbor::distance holds the squared distance during the search —
-  // the (dist2, index) order BruteForceIndex and the static KdTree rank
-  // by (sqrt can merge distinct squared distances into ties, so ranking
-  // after the sqrt would tie-break differently); KNearest applies the
-  // sqrt once to the k results.
-  const Node& node = nodes_[node_id];
-  const int d = points_->cols();
-  if (node.split_dim < 0) {
-    for (int i = node.begin; i < node.end; ++i) {
-      const int idx = order_[i];
-      if (!alive_[idx]) continue;
-      const Neighbor cand{idx, SquaredDistance(query, points_->Row(idx), d)};
-      OfferToBoundedHeap(heap, cand, k);
-    }
-    return;
+template <typename Bound>
+template <typename LowerBound, typename Visit>
+void TombstonedTree<Bound>::ForLiveChildrenLowerFirst(
+    const Node& node, LowerBound lower_bound, Visit visit) const {
+  // Both bounds first, so the lower side tightens the heap before the
+  // sibling's bound is tested.
+  int children[2] = {node.left, node.right};
+  double bounds[2] = {lower_bound(node.left), lower_bound(node.right)};
+  if (bounds[1] < bounds[0]) {
+    std::swap(children[0], children[1]);
+    std::swap(bounds[0], bounds[1]);
   }
-  const double diff = query[node.split_dim] - node.split_value;
-  const int near = diff <= 0.0 ? node.left : node.right;
-  const int far = diff <= 0.0 ? node.right : node.left;
-  for (const int child : {near, far}) {
-    if (nodes_[child].live == 0) continue;
-    // Exact in squared space: BoxMinD2 never exceeds any member's dist2
-    // (term-by-term domination in the same summation order), so pruning
-    // strictly above the worst retained dist2 cannot drop a candidate.
-    if (static_cast<int>(heap->size()) >= k &&
-        BoxMinD2(child, query) > heap->front().distance) {
-      continue;
-    }
-    SearchKnn(child, query, k, heap);
+  for (int s = 0; s < 2; ++s) {
+    if (nodes_[children[s]].live == 0) continue;
+    visit(children[s], bounds[s]);
   }
 }
 
-std::vector<Neighbor> DynamicKdTree::KNearest(const double* query,
-                                              int k) const {
-  GBX_CHECK_GE(k, 0);
-  k = std::min(k, live_);
-  if (k == 0 || root_ < 0) return {};
-  std::vector<Neighbor> heap;
-  heap.reserve(k + 1);
-  SearchKnn(root_, query, k, &heap);
-  std::sort_heap(heap.begin(), heap.end(), WorseNeighbor);
-  for (Neighbor& nb : heap) nb.distance = std::sqrt(nb.distance);
-  return heap;
-}
-
-void DynamicKdTree::SearchKnnSquared(
+template <typename Bound>
+void TombstonedTree<Bound>::SearchKnnSquared(
     int node_id, const double* query, int k, int exclude,
     std::vector<SquaredNeighbor>* heap) const {
   const Node& node = nodes_[node_id];
@@ -205,24 +202,36 @@ void DynamicKdTree::SearchKnnSquared(
     }
     return;
   }
-  const double diff = query[node.split_dim] - node.split_value;
-  const int near = diff <= 0.0 ? node.left : node.right;
-  const int far = diff <= 0.0 ? node.right : node.left;
-  for (const int child : {near, far}) {
-    if (nodes_[child].live == 0) continue;
-    // Squared space compares exactly: every point in the child has
-    // dist2 >= the box distance, so pruning at "box > worst dist2" can
-    // never drop an eligible candidate (an equal dist2 with a smaller
-    // index still visits).
-    if (static_cast<int>(heap->size()) >= k &&
-        BoxMinD2(child, query) > heap->front().dist2) {
-      continue;
+  // Every eligible point in a child has dist2 >= the child's squared
+  // bound, so pruning at "bound > worst dist2" can never drop a
+  // candidate (an equal dist2 with a smaller index still visits).
+  const auto full = [&] { return static_cast<int>(heap->size()) >= k; };
+  if constexpr (Bound::kSplitPlaneOrder) {
+    const double diff = query[node.split_dim] - node.split_value;
+    const int near = diff <= 0.0 ? node.left : node.right;
+    const int far = diff <= 0.0 ? node.right : node.left;
+    for (const int child : {near, far}) {
+      if (nodes_[child].live == 0) continue;
+      if (full() && bound_.MinDist2(child, query, d) > heap->front().dist2) {
+        continue;
+      }
+      SearchKnnSquared(child, query, k, exclude, heap);
     }
-    SearchKnnSquared(child, query, k, exclude, heap);
+  } else {
+    ForLiveChildrenLowerFirst(
+        node, [&](int child) { return bound_.MinDist(child, query, d); },
+        [&](int child, double min_dist) {
+          if (full() &&
+              Bound::SquaredLowerBound(min_dist) > heap->front().dist2) {
+            return;
+          }
+          SearchKnnSquared(child, query, k, exclude, heap);
+        });
   }
 }
 
-std::vector<SquaredNeighbor> DynamicKdTree::KNearestSquared(
+template <typename Bound>
+std::vector<SquaredNeighbor> TombstonedTree<Bound>::KNearestSquared(
     const double* query, int k, int exclude) const {
   GBX_CHECK_GE(k, 0);
   int eligible = live_;
@@ -234,35 +243,14 @@ std::vector<SquaredNeighbor> DynamicKdTree::KNearestSquared(
   std::vector<SquaredNeighbor> heap;
   heap.reserve(k + 1);
   SearchKnnSquared(root_, query, k, exclude, &heap);
-  std::sort_heap(heap.begin(), heap.end(), WorseSquared);
+  std::sort_heap(heap.begin(), heap.end());
   return heap;
 }
 
-void DynamicKdTree::SearchRadius(int node_id, const double* query, double r2,
-                                 std::vector<Neighbor>* out) const {
-  // Inclusion in squared space (d2 <= r2), exactly as BruteForceIndex
-  // decides it; the sqrt happens once per hit in RadiusSearch. Pruning
-  // is exact for the same reason as SearchKnn.
-  const Node& node = nodes_[node_id];
-  const int d = points_->cols();
-  if (node.split_dim < 0) {
-    for (int i = node.begin; i < node.end; ++i) {
-      const int idx = order_[i];
-      if (!alive_[idx]) continue;
-      const double d2 = SquaredDistance(query, points_->Row(idx), d);
-      if (d2 <= r2) out->push_back(Neighbor{idx, d2});
-    }
-    return;
-  }
-  for (const int child : {node.left, node.right}) {
-    if (nodes_[child].live == 0) continue;
-    if (BoxMinD2(child, query) > r2) continue;
-    SearchRadius(child, query, r2, out);
-  }
-}
-
-void DynamicKdTree::SearchSurface(int node_id, const double* query, int k,
-                                  std::vector<Neighbor>* heap) const {
+template <typename Bound>
+void TombstonedTree<Bound>::SearchSurface(int node_id, const double* query,
+                                          int k,
+                                          std::vector<Neighbor>* heap) const {
   const Node& node = nodes_[node_id];
   const int d = points_->cols();
   if (node.split_dim < 0) {
@@ -279,56 +267,40 @@ void DynamicKdTree::SearchSurface(int node_id, const double* query, int k,
     }
     return;
   }
-  // Every score in a subtree is >= sqrt(BoxMinD2) - max_weight, exactly
-  // (box distance dominates each point's squared distance term by term
-  // in the same summation order; sqrt and subtraction are monotone), so
+  // Every score in a subtree is >= its distance bound minus its largest
+  // weight (subtraction is monotone, weights are non-negative), so
   // pruning strictly above the current worst retained score never drops
   // a candidate — equal bounds still visit, preserving index ties.
-  // Descend the lower-bound side first to tighten the heap early.
-  int children[2] = {node.left, node.right};
-  double bounds[2];
-  for (int s = 0; s < 2; ++s) {
-    bounds[s] = std::sqrt(BoxMinD2(children[s], query)) -
-                nodes_[children[s]].max_weight;
-  }
-  if (bounds[1] < bounds[0]) {
-    std::swap(children[0], children[1]);
-    std::swap(bounds[0], bounds[1]);
-  }
-  for (int s = 0; s < 2; ++s) {
-    const int child = children[s];
-    if (nodes_[child].live == 0) continue;
-    if (static_cast<int>(heap->size()) >= k &&
-        bounds[s] > heap->front().distance) {
-      continue;
-    }
-    SearchSurface(child, query, k, heap);
-  }
+  ForLiveChildrenLowerFirst(
+      node,
+      [&](int child) {
+        return bound_.MinDist(child, query, d) - nodes_[child].max_weight;
+      },
+      [&](int child, double min_score) {
+        if (static_cast<int>(heap->size()) >= k &&
+            min_score > heap->front().distance) {
+          return;
+        }
+        SearchSurface(child, query, k, heap);
+      });
 }
 
-std::vector<Neighbor> DynamicKdTree::KNearestSurface(const double* query,
-                                                     int k) const {
+template <typename Bound>
+std::vector<Neighbor> TombstonedTree<Bound>::KNearestSurface(
+    const double* query, int k) const {
   GBX_CHECK_MSG(weights_ != nullptr,
-                "DynamicKdTree::KNearestSurface requires point weights");
+                "KNearestSurface requires point weights");
   GBX_CHECK_GE(k, 0);
   k = std::min(k, live_);
   if (k == 0 || root_ < 0) return {};
   std::vector<Neighbor> heap;
   heap.reserve(k + 1);
   SearchSurface(root_, query, k, &heap);
-  std::sort_heap(heap.begin(), heap.end(), WorseNeighbor);
+  std::sort_heap(heap.begin(), heap.end());
   return heap;
 }
 
-std::vector<Neighbor> DynamicKdTree::RadiusSearch(const double* query,
-                                                  double radius) const {
-  GBX_CHECK_GE(radius, 0.0);
-  std::vector<Neighbor> out;
-  if (root_ < 0 || live_ == 0) return out;
-  SearchRadius(root_, query, radius * radius, &out);
-  for (Neighbor& nb : out) nb.distance = std::sqrt(nb.distance);
-  std::sort(out.begin(), out.end());
-  return out;
-}
+template class TombstonedTree<BoxBound>;
+template class TombstonedTree<BallBound>;
 
 }  // namespace gbx

@@ -1,5 +1,7 @@
 // Strategy knob for the neighbor-scan hot paths: a parallel flat scan, a
-// (dynamic) KD-tree, or a metric ball-tree. kAuto resolves per workload
+// dynamic KD-tree, or a metric ball-tree — the two instantiations of the
+// one tombstoned tree in dynamic_kd_tree.h, which differ only in the
+// node bound they prune with. kAuto resolves per workload
 // from the point count and the dimensionality — trees win asymptotically
 // at large n but lose to the cache-friendly flat scan for small n, and
 // axis-aligned-box pruning degrades toward a linear scan as

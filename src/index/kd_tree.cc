@@ -14,11 +14,11 @@ KdTree::KdTree(const Matrix* points, int leaf_size)
   for (int i = 0; i < points_->rows(); ++i) order_[i] = i;
   if (!order_.empty()) {
     nodes_.reserve(2 * order_.size() / leaf_size_ + 4);
-    root_ = Build(0, static_cast<int>(order_.size()), 0);
+    root_ = Build(0, static_cast<int>(order_.size()));
   }
 }
 
-int KdTree::Build(int begin, int end, int depth) {
+int KdTree::Build(int begin, int end) {
   const int node_id = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   if (end - begin <= leaf_size_) {
@@ -27,10 +27,9 @@ int KdTree::Build(int begin, int end, int depth) {
     return node_id;
   }
 
-  // Pick the dimension with the largest spread over this range; fall back
-  // to round-robin when all spreads are zero (duplicate points).
+  // Pick the dimension with the largest spread over this range.
   const int d = points_->cols();
-  int best_dim = depth % d;
+  int best_dim = 0;
   double best_spread = -1.0;
   for (int j = 0; j < d; ++j) {
     double lo = std::numeric_limits<double>::infinity();
@@ -62,8 +61,8 @@ int KdTree::Build(int begin, int end, int depth) {
                    });
   nodes_[node_id].split_dim = best_dim;
   nodes_[node_id].split_value = points_->At(order_[mid], best_dim);
-  const int left = Build(begin, mid, depth + 1);
-  const int right = Build(mid, end, depth + 1);
+  const int left = Build(begin, mid);
+  const int right = Build(mid, end);
   nodes_[node_id].left = left;
   nodes_[node_id].right = right;
   return node_id;

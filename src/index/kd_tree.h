@@ -1,7 +1,8 @@
-// KD-tree over a point matrix: median-split build (O(n log n)), branch-and-
-// bound k-NN and radius queries. Exact — property-tested to agree with
-// BruteForceIndex — and much faster for the low/medium-dimensional
-// datasets where kNN classification dominates experiment time.
+// Static KD-tree over a point matrix: median-split build (O(n log n)),
+// branch-and-bound k-NN and radius queries. Exact — property-tested to
+// agree with BruteForceIndex — and much faster for the low/medium-
+// dimensional datasets where kNN classification dominates experiment
+// time.
 #ifndef GBX_INDEX_KD_TREE_H_
 #define GBX_INDEX_KD_TREE_H_
 
@@ -11,21 +12,23 @@
 
 namespace gbx {
 
-class KdTree : public NeighborIndex {
+class KdTree {
  public:
   /// `points` must outlive the tree. `leaf_size` is the maximum number of
   /// points in a leaf bucket.
   explicit KdTree(const Matrix* points, int leaf_size = 16);
 
   /// k larger than the number of stored points returns all points (k is
-  /// clamped, never asserted on), matching BruteForceIndex and
-  /// DynamicKdTree.
-  std::vector<Neighbor> KNearest(const double* query, int k) const override;
+  /// clamped, never asserted on), matching BruteForceIndex and the
+  /// dynamic trees. Ranked by (squared distance, index), Euclidean
+  /// distances in the result.
+  std::vector<Neighbor> KNearest(const double* query, int k) const;
+  /// All points with squared distance <= radius², sorted by (distance,
+  /// index).
   std::vector<Neighbor> RadiusSearch(const double* query,
-                                     double radius) const override;
+                                     double radius) const;
 
-  int size() const override { return points_->rows(); }
-  int dims() const override { return points_->cols(); }
+  int size() const { return points_->rows(); }
 
  private:
   struct Node {
@@ -37,7 +40,7 @@ class KdTree : public NeighborIndex {
     int end = 0;
   };
 
-  int Build(int begin, int end, int depth);
+  int Build(int begin, int end);
 
   void SearchKnn(int node_id, const double* query, int k,
                  std::vector<Neighbor>* heap) const;

@@ -1,6 +1,7 @@
-// Nearest-neighbor search interface shared by the brute-force scanner and
-// the KD-tree. Indexes are non-owning views over a Matrix whose lifetime
-// must exceed the index.
+// The result types and exactness helpers every nearest-neighbor index
+// shares: the brute-force scanner, the static KdTree and the dynamic
+// trees. Indexes are non-owning views over a Matrix whose lifetime must
+// exceed the index.
 #ifndef GBX_INDEX_NEIGHBOR_INDEX_H_
 #define GBX_INDEX_NEIGHBOR_INDEX_H_
 
@@ -40,8 +41,8 @@ struct SquaredNeighbor {
 /// operator<) candidates seen so far — the selection idiom every index
 /// implementation shares. After all offers, std::sort_heap with the same
 /// order yields the k best ascending. Keeping the one copy here is what
-/// lets the cross-index bit-identity contracts (KdTree/DynamicKdTree vs
-/// BruteForceIndex) rest on a single piece of code.
+/// lets the cross-index bit-identity contracts (every tree vs the
+/// exhaustive scan) rest on a single piece of code.
 template <typename T>
 void OfferToBoundedHeap(std::vector<T>* heap, const T& cand, int k) {
   const auto worse = [](const T& a, const T& b) { return a < b; };
@@ -62,7 +63,7 @@ void OfferToBoundedHeap(std::vector<T>* heap, const T& cand, int k) {
 /// member's SquaredDistance term by term in identical order, which is
 /// what makes its pruning floating-point-exact. It lives next to
 /// OfferToBoundedHeap so that argument sits beside the other exactness
-/// contracts of this interface.
+/// contracts the indexes share.
 inline double BoxMinSquaredDistance(const double* lo, const double* hi,
                                     const double* query, int d) {
   double s = 0.0;
@@ -77,24 +78,6 @@ inline double BoxMinSquaredDistance(const double* lo, const double* hi,
   }
   return s;
 }
-
-class NeighborIndex {
- public:
-  virtual ~NeighborIndex() = default;
-
-  /// The k nearest points to `query`, sorted by (distance, index)
-  /// ascending. Returns fewer than k when the index holds fewer points.
-  virtual std::vector<Neighbor> KNearest(const double* query,
-                                         int k) const = 0;
-
-  /// All points within `radius` (inclusive) of `query`, sorted by
-  /// (distance, index).
-  virtual std::vector<Neighbor> RadiusSearch(const double* query,
-                                             double radius) const = 0;
-
-  virtual int size() const = 0;
-  virtual int dims() const = 0;
-};
 
 }  // namespace gbx
 

@@ -11,10 +11,10 @@
 #define GBX_ML_GB_KNN_H_
 
 #include <memory>
+#include <variant>
 
 #include "core/rd_gbg.h"
 #include "data/scaler.h"
-#include "index/ball_tree.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/classifier.h"
 
@@ -89,20 +89,19 @@ class GbKnnClassifier : public Classifier {
   struct CenterIndex {
     Matrix centers;
     std::vector<double> radii;
-    std::unique_ptr<DynamicKdTree> kd;  // exactly one backend is set
-    std::unique_ptr<BallTree> ball;
+    std::variant<DynamicKdTree, BallTree> tree;
     CenterIndex(Matrix centers_in, std::vector<double> radii_in,
                 IndexStrategy backend)
-        : centers(std::move(centers_in)), radii(std::move(radii_in)) {
-      if (backend == IndexStrategy::kBallTree) {
-        ball = std::make_unique<BallTree>(&centers, radii.data());
-      } else {
-        kd = std::make_unique<DynamicKdTree>(&centers, radii.data());
-      }
-    }
+        : centers(std::move(centers_in)),
+          radii(std::move(radii_in)),
+          tree(backend == IndexStrategy::kBallTree
+                   ? decltype(tree)(std::in_place_type<BallTree>, &centers,
+                                    radii.data())
+                   : decltype(tree)(std::in_place_type<DynamicKdTree>,
+                                    &centers, radii.data())) {}
     std::vector<Neighbor> KNearestSurface(const double* query, int k) const {
-      return kd != nullptr ? kd->KNearestSurface(query, k)
-                           : ball->KNearestSurface(query, k);
+      return std::visit(
+          [&](const auto& t) { return t.KNearestSurface(query, k); }, tree);
     }
   };
 

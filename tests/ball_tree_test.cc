@@ -1,352 +1,12 @@
-// Property battery for the metric BallTree, mirroring
-// tests/index_dynamic_test.cc's DynamicKdTree coverage: randomized
-// interleavings of Remove and all query families, cross-checked against
-// a live-filtered brute-force oracle (BruteForceIndex semantics) over an
-// n × d × leaf_size sweep — the sweep deliberately reaches the
-// moderate dimensionalities (d up to 24) the ball-tree exists for —
-// plus the adversarial corners: duplicate rows, every point removed, the
-// amortized-rebuild boundary, oversized k, and the weighted surface
-// query. Equality is exact double equality everywhere: the deflated
-// triangle bound must never prune a candidate the exhaustive scan keeps.
-#include <algorithm>
-#include <cmath>
-#include <tuple>
-#include <vector>
-
-#include <gtest/gtest.h>
-
-#include "common/rng.h"
-#include "index/ball_tree.h"
-#include "index/brute_force.h"
+// The dynamic-tree property battery (tests/dynamic_tree_battery.h) run
+// for BallTree, the covering-ball-bound instantiation of the tombstoned
+// tree — the one meant for the moderate dimensionalities (d up to 24)
+// the battery's sweep reaches.
+#include "dynamic_tree_battery.h"
 
 namespace gbx {
-namespace {
 
-Matrix RandomPoints(int n, int d, std::uint64_t seed) {
-  Pcg32 rng(seed);
-  Matrix m(n, d);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) m.At(i, j) = rng.NextGaussian();
-  }
-  return m;
-}
+INSTANTIATE_TYPED_TEST_SUITE_P(BallTree, DynamicTreeTest, BallTree);
+INSTANTIATE_TYPED_TEST_SUITE_P(BallTree, DynamicTreeDeathTest, BallTree);
 
-std::vector<Neighbor> OracleKnn(const Matrix& pts,
-                                const std::vector<char>& alive,
-                                const double* q, int k) {
-  std::vector<Neighbor> all;
-  for (int i = 0; i < pts.rows(); ++i) {
-    if (!alive[i]) continue;
-    all.push_back(Neighbor{i, SquaredDistance(q, pts.Row(i), pts.cols())});
-  }
-  std::sort(all.begin(), all.end());
-  if (static_cast<int>(all.size()) > k) all.resize(k);
-  for (Neighbor& nb : all) nb.distance = std::sqrt(nb.distance);
-  return all;
-}
-
-std::vector<SquaredNeighbor> OracleKnnSquared(const Matrix& pts,
-                                              const std::vector<char>& alive,
-                                              const double* q, int k,
-                                              int exclude) {
-  std::vector<SquaredNeighbor> all;
-  for (int i = 0; i < pts.rows(); ++i) {
-    if (!alive[i] || i == exclude) continue;
-    all.push_back(
-        SquaredNeighbor{SquaredDistance(q, pts.Row(i), pts.cols()), i});
-  }
-  std::sort(all.begin(), all.end());
-  if (static_cast<int>(all.size()) > k) all.resize(k);
-  return all;
-}
-
-std::vector<Neighbor> OracleRadius(const Matrix& pts,
-                                   const std::vector<char>& alive,
-                                   const double* q, double radius) {
-  std::vector<Neighbor> all;
-  const double r2 = radius * radius;
-  for (int i = 0; i < pts.rows(); ++i) {
-    if (!alive[i]) continue;
-    const double d2 = SquaredDistance(q, pts.Row(i), pts.cols());
-    if (d2 <= r2) all.push_back(Neighbor{i, std::sqrt(d2)});
-  }
-  std::sort(all.begin(), all.end());
-  return all;
-}
-
-void ExpectNeighborsEqual(const std::vector<Neighbor>& actual,
-                          const std::vector<Neighbor>& expected,
-                          const char* what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual[i].index, expected[i].index) << what << " at " << i;
-    ASSERT_EQ(actual[i].distance, expected[i].distance) << what << " at " << i;
-  }
-}
-
-void ExpectSquaredEqual(const std::vector<SquaredNeighbor>& actual,
-                        const std::vector<SquaredNeighbor>& expected,
-                        const char* what) {
-  ASSERT_EQ(actual.size(), expected.size()) << what;
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(actual[i].index, expected[i].index) << what << " at " << i;
-    ASSERT_EQ(actual[i].dist2, expected[i].dist2) << what << " at " << i;
-  }
-}
-
-class BallTreeOracleTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(BallTreeOracleTest, AgreesWithOracleUnderInterleavedRemovals) {
-  const auto [n, d, leaf_size] = GetParam();
-  const Matrix pts = RandomPoints(n, d, 4100 + n * 7 + d);
-  BallTree tree(&pts, leaf_size);
-  std::vector<char> alive(n, 1);
-  std::vector<int> live_ids(n);
-  for (int i = 0; i < n; ++i) live_ids[i] = i;
-  Pcg32 rng(29 * n + d + leaf_size);
-
-  const auto check_all = [&](const char* when) {
-    ASSERT_EQ(tree.size(), static_cast<int>(live_ids.size())) << when;
-    for (int trial = 0; trial < 4; ++trial) {
-      std::vector<double> q(d);
-      for (int j = 0; j < d; ++j) q[j] = rng.NextGaussian();
-      // Query at a stored (sometimes removed) point half the time:
-      // distance-0 hits and tombstone positions are the hard cases.
-      if (n > 0 && trial % 2 == 1) {
-        const int at = static_cast<int>(rng.NextBounded(n));
-        for (int j = 0; j < d; ++j) q[j] = pts.At(at, j);
-      }
-      const int k = 1 + static_cast<int>(rng.NextBounded(12));
-      ExpectNeighborsEqual(tree.KNearest(q.data(), k),
-                           OracleKnn(pts, alive, q.data(), k), when);
-      const int exclude =
-          trial % 2 == 0 ? -1 : static_cast<int>(rng.NextBounded(n));
-      ExpectSquaredEqual(
-          tree.KNearestSquared(q.data(), k, exclude),
-          OracleKnnSquared(pts, alive, q.data(), k, exclude), when);
-      const double radius = 0.25 + rng.NextDouble() * 2.0;
-      ExpectNeighborsEqual(tree.RadiusSearch(q.data(), radius),
-                           OracleRadius(pts, alive, q.data(), radius), when);
-    }
-  };
-
-  check_all("before removals");
-  while (!live_ids.empty()) {
-    const int batch = 1 + static_cast<int>(rng.NextBounded(
-                              static_cast<std::uint32_t>(
-                                  std::max<std::size_t>(live_ids.size() / 6,
-                                                        1))));
-    for (int b = 0; b < batch && !live_ids.empty(); ++b) {
-      const std::size_t pick = rng.NextBounded(
-          static_cast<std::uint32_t>(live_ids.size()));
-      const int id = live_ids[pick];
-      live_ids[pick] = live_ids.back();
-      live_ids.pop_back();
-      ASSERT_TRUE(tree.alive(id));
-      tree.Remove(id);
-      alive[id] = 0;
-      ASSERT_FALSE(tree.alive(id));
-    }
-    check_all("after removal batch");
-  }
-  ASSERT_EQ(tree.size(), 0);
-  std::vector<double> q(d, 0.0);
-  EXPECT_TRUE(tree.KNearest(q.data(), 5).empty());
-  EXPECT_TRUE(tree.KNearestSquared(q.data(), 5).empty());
-  EXPECT_TRUE(tree.RadiusSearch(q.data(), 100.0).empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BallTreeOracleTest,
-    ::testing::Combine(::testing::Values(1, 5, 64, 257, 800),
-                       ::testing::Values(1, 2, 8, 24),
-                       ::testing::Values(1, 16, 64)));
-
-// A full-tree comparison against BruteForceIndex on the NeighborIndex
-// interface — the same cross-index contract the static KdTree sweep in
-// index_test.cc enforces.
-TEST(BallTreeTest, MatchesBruteForceIndexSweep) {
-  for (const auto& [n, d] : {std::pair{300, 4}, {500, 12}, {800, 20}}) {
-    const Matrix pts = RandomPoints(n, d, 600 + n + d);
-    BallTree tree(&pts, /*leaf_size=*/8);
-    const BruteForceIndex brute(&pts);
-    Pcg32 rng(77 + n);
-    for (int trial = 0; trial < 20; ++trial) {
-      std::vector<double> q(d);
-      for (int j = 0; j < d; ++j) q[j] = rng.NextGaussian() * 1.5;
-      const int k = 1 + static_cast<int>(rng.NextBounded(10));
-      ExpectNeighborsEqual(tree.KNearest(q.data(), k),
-                           brute.KNearest(q.data(), k), "vs brute knn");
-      const double radius = 0.5 + rng.NextDouble() * 2.5;
-      ExpectNeighborsEqual(tree.RadiusSearch(q.data(), radius),
-                           brute.RadiusSearch(q.data(), radius),
-                           "vs brute radius");
-    }
-  }
-}
-
-// Duplicate rows stress the index tie-breaks and the zero-spread leaf
-// path; removing individual duplicates must surface the remaining ones
-// in index order.
-TEST(BallTreeTest, DuplicateRowsRemoveOneAtATime) {
-  Matrix pts(12, 2);
-  for (int i = 0; i < 12; ++i) {
-    pts.At(i, 0) = i < 8 ? 1.0 : 2.0;  // ids 0..7 identical, 8..11 identical
-    pts.At(i, 1) = i < 8 ? -3.0 : 4.0;
-  }
-  BallTree tree(&pts, /*leaf_size=*/2);
-  const double q[] = {1.0, -3.0};
-
-  std::vector<char> alive(12, 1);
-  for (int removed = 0; removed < 8; ++removed) {
-    const std::vector<Neighbor> nns = tree.KNearest(q, 3);
-    ExpectNeighborsEqual(nns, OracleKnn(pts, alive, q, 3), "duplicates");
-    ASSERT_GE(nns.size(), 1u);
-    EXPECT_EQ(nns[0].index, removed);
-    EXPECT_EQ(nns[0].distance, 0.0);
-    tree.Remove(removed);
-    alive[removed] = 0;
-  }
-  const std::vector<Neighbor> rest = tree.KNearest(q, 100);
-  ASSERT_EQ(rest.size(), 4u);
-  EXPECT_EQ(rest[0].index, 8);
-}
-
-// The amortized rebuild fires exactly when tombstones first exceed half
-// of the indexed points, resetting the accounting to the survivors —
-// DynamicKdTree's exact contract.
-TEST(BallTreeTest, RebuildBoundaryAtExactlyHalf) {
-  const Matrix pts = RandomPoints(8, 3, 42);
-  BallTree tree(&pts, /*leaf_size=*/2);
-  ASSERT_EQ(tree.indexed_points(), 8);
-
-  for (int i = 0; i < 4; ++i) tree.Remove(i);
-  EXPECT_EQ(tree.rebuilds(), 0);
-  EXPECT_EQ(tree.tombstones(), 4);
-  EXPECT_EQ(tree.indexed_points(), 8);
-  EXPECT_EQ(tree.size(), 4);
-
-  tree.Remove(4);
-  EXPECT_EQ(tree.rebuilds(), 1);
-  EXPECT_EQ(tree.tombstones(), 0);
-  EXPECT_EQ(tree.indexed_points(), 3);
-  EXPECT_EQ(tree.size(), 3);
-
-  std::vector<char> alive(8, 0);
-  alive[5] = alive[6] = alive[7] = 1;
-  const double q[] = {0.0, 0.0, 0.0};
-  ExpectNeighborsEqual(tree.KNearest(q, 8), OracleKnn(pts, alive, q, 8),
-                       "post-rebuild");
-
-  tree.Remove(5);
-  tree.Remove(6);
-  tree.Remove(7);
-  EXPECT_EQ(tree.size(), 0);
-  EXPECT_TRUE(tree.KNearest(q, 3).empty());
-  EXPECT_TRUE(tree.RadiusSearch(q, 10.0).empty());
-}
-
-// k beyond the live count degrades to "all live points", in order.
-TEST(BallTreeTest, OversizedKReturnsAllLivePoints) {
-  const Matrix pts = RandomPoints(10, 2, 7);
-  BallTree tree(&pts, /*leaf_size=*/4);
-  const double q[] = {0.3, -0.1};
-
-  ASSERT_EQ(tree.KNearest(q, 1000).size(), 10u);
-  for (int i = 0; i < 7; ++i) tree.Remove(i);
-  const std::vector<Neighbor> live = tree.KNearest(q, 1000);
-  ASSERT_EQ(live.size(), 3u);
-  std::vector<char> alive(10, 0);
-  alive[7] = alive[8] = alive[9] = 1;
-  ExpectNeighborsEqual(live, OracleKnn(pts, alive, q, 1000), "oversized k");
-
-  EXPECT_EQ(tree.KNearestSquared(q, 1000, /*exclude=*/8).size(), 2u);
-  EXPECT_EQ(tree.KNearestSquared(q, 1000, /*exclude=*/0).size(), 3u)
-      << "excluding an already-removed point must not shrink the result";
-  EXPECT_TRUE(tree.KNearest(q, 0).empty());
-}
-
-// The weighted surface query (GB-kNN's ranking: score = dist - w inside
-// the ball, dist outside) must match the exhaustive scan exactly through
-// removals and rebuilds, including zero weights, oversized weights that
-// swallow the whole cloud, and duplicate centers.
-TEST(BallTreeTest, SurfaceQueryAgreesWithOracleUnderRemovals) {
-  for (const int n : {1, 7, 120, 600}) {
-    const int d = 2 + n % 7;
-    Matrix pts = RandomPoints(n, d, 5200 + n);
-    for (int i = 0; i < std::min(n, 10); ++i) {
-      for (int j = 0; j < d; ++j) pts.At(n - 1 - i, j) = pts.At(i, j);
-    }
-    Pcg32 rng(43 + n);
-    std::vector<double> weights(n);
-    for (int i = 0; i < n; ++i) {
-      const int kind = static_cast<int>(rng.NextBounded(4));
-      weights[i] = kind == 0   ? 0.0                       // orphan ball
-                   : kind == 1 ? 10.0 + rng.NextDouble()   // swallows all
-                               : rng.NextDouble() * 1.5;   // typical
-    }
-    BallTree tree(&pts, weights.data(), /*leaf_size=*/4);
-    std::vector<char> alive(n, 1);
-
-    const auto oracle = [&](const double* q, int k) {
-      std::vector<Neighbor> all;
-      for (int i = 0; i < n; ++i) {
-        if (!alive[i]) continue;
-        const double dist = std::sqrt(SquaredDistance(q, pts.Row(i), d));
-        all.push_back(Neighbor{
-            i, dist <= weights[i] ? dist - weights[i] : dist});
-      }
-      std::sort(all.begin(), all.end());
-      if (static_cast<int>(all.size()) > k) all.resize(k);
-      return all;
-    };
-
-    int live = n;
-    while (live > 0) {
-      for (int trial = 0; trial < 3; ++trial) {
-        std::vector<double> q(d);
-        for (int j = 0; j < d; ++j) q[j] = rng.NextGaussian();
-        const int k = 1 + static_cast<int>(rng.NextBounded(8));
-        ExpectNeighborsEqual(tree.KNearestSurface(q.data(), k),
-                             oracle(q.data(), k), "surface");
-      }
-      int id;
-      do {
-        id = static_cast<int>(rng.NextBounded(n));
-      } while (!alive[id]);
-      tree.Remove(id);
-      alive[id] = 0;
-      --live;
-    }
-    EXPECT_TRUE(tree.KNearestSurface(pts.Row(0), 5).empty());
-  }
-}
-
-// Without weights the surface query is a contract violation.
-TEST(BallTreeDeathTest, SurfaceQueryWithoutWeightsAsserts) {
-  const Matrix pts = RandomPoints(4, 2, 5);
-  BallTree tree(&pts);
-  EXPECT_DEATH(tree.KNearestSurface(pts.Row(0), 1), "requires point weights");
-}
-
-TEST(BallTreeTest, EmptyMatrix) {
-  const Matrix empty(0, 3);
-  BallTree tree(&empty);
-  const double q[] = {0.0, 0.0, 0.0};
-  EXPECT_EQ(tree.size(), 0);
-  EXPECT_TRUE(tree.KNearest(q, 5).empty());
-  EXPECT_TRUE(tree.KNearestSquared(q, 5).empty());
-  EXPECT_TRUE(tree.RadiusSearch(q, 1.0).empty());
-}
-
-// Removing a removed point is a contract violation, not UB.
-TEST(BallTreeDeathTest, DoubleRemoveAsserts) {
-  const Matrix pts = RandomPoints(4, 2, 3);
-  BallTree tree(&pts);
-  tree.Remove(2);
-  EXPECT_DEATH(tree.Remove(2), "already removed");
-}
-
-}  // namespace
 }  // namespace gbx

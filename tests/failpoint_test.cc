@@ -40,7 +40,8 @@ TEST_F(FailpointTest, SpecGrammarRejectsMalformedInput) {
   for (const char* bad :
        {"", "bogus", "delay", "delay()", "delay(x)", "error(3)",
         "partial_write", "crash(1)", "error:twice", "error:every(0)",
-        "error:every()", "off(1)"}) {
+        "error:every()", "off(1)", "delay(99999999999)",
+        "error:every(4294967297)"}) {
     EXPECT_EQ(fp.Set("p", bad).code(), StatusCode::kInvalidArgument)
         << "spec '" << bad << "' accepted";
   }

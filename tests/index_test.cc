@@ -154,7 +154,8 @@ TEST(KdTreeEquivalenceTest, MatchesBruteForceOnDataPointQueries) {
   }
 }
 
-// Regression for the oversized-k guard (shared with DynamicKdTree): k
+// Regression for the oversized-k guard (the dynamic trees' KNearestSquared
+// clamps the same way, see index_dynamic_test.cc): k
 // beyond the stored point count must degrade to "all points, in order" —
 // never an assertion — including on deep single-point-leaf trees and on
 // the empty tree.
