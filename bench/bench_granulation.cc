@@ -127,7 +127,7 @@ BENCHMARK(BM_RdGbgStrategy)
     ->UseRealTime();
 
 // The structured regime: rotated informative-subspace data — low
-// intrinsic dimensionality (EffectiveDimension ≈ 3.5) at any ambient d,
+// intrinsic dimensionality (4 informative dimensions) at any ambient d,
 // the geometry real tabular data occupies. Tree pruning survives here
 // past the isotropic d~6 wall, yet the fused flat scan still wins at
 // d=8 and d=16, so kAuto reads no structure and stays flat; these rows

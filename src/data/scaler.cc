@@ -34,15 +34,16 @@ Matrix MinMaxScaler::Transform(const Matrix& x) const {
   GBX_CHECK(fitted());
   GBX_CHECK_EQ(x.cols(), static_cast<int>(mins_.size()));
   Matrix out(x.rows(), x.cols());
-  for (int i = 0; i < x.rows(); ++i) {
-    const double* src = x.Row(i);
-    double* dst = out.Row(i);
-    for (int j = 0; j < x.cols(); ++j) {
-      const double range = maxs_[j] - mins_[j];
-      dst[j] = range > 0 ? (src[j] - mins_[j]) / range : 0.0;
-    }
-  }
+  for (int i = 0; i < x.rows(); ++i) TransformRow(x.Row(i), out.Row(i));
   return out;
+}
+
+void MinMaxScaler::TransformRow(const double* in, double* out) const {
+  const std::size_t p = mins_.size();
+  for (std::size_t j = 0; j < p; ++j) {
+    const double range = maxs_[j] - mins_[j];
+    out[j] = range > 0 ? (in[j] - mins_[j]) / range : 0.0;
+  }
 }
 
 void StandardScaler::Fit(const Matrix& x) {

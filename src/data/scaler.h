@@ -20,6 +20,10 @@ class MinMaxScaler {
   /// extrapolated linearly, not clipped).
   Matrix Transform(const Matrix& x) const;
 
+  /// Transforms one row of mins().size() features into `out` (which may
+  /// alias `in`); the same expression Transform applies to every row.
+  void TransformRow(const double* in, double* out) const;
+
   Matrix FitTransform(const Matrix& x) {
     Fit(x);
     return Transform(x);

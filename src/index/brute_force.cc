@@ -31,19 +31,4 @@ std::vector<Neighbor> BruteForceIndex::KNearest(const double* query,
   return heap;
 }
 
-std::vector<Neighbor> BruteForceIndex::RadiusSearch(const double* query,
-                                                    double radius) const {
-  GBX_CHECK_GE(radius, 0.0);
-  const int n = points_->rows();
-  const int d = points_->cols();
-  const double r2 = radius * radius;
-  std::vector<Neighbor> out;
-  for (int i = 0; i < n; ++i) {
-    const double d2 = SquaredDistance(query, points_->Row(i), d);
-    if (d2 <= r2) out.push_back(Neighbor{i, std::sqrt(d2)});
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace gbx

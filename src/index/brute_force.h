@@ -19,10 +19,6 @@ class BruteForceIndex {
   /// index), Euclidean distances in the result. Returns fewer than k
   /// when the index holds fewer points.
   std::vector<Neighbor> KNearest(const double* query, int k) const;
-  /// All points with squared distance <= radius², sorted by (distance,
-  /// index).
-  std::vector<Neighbor> RadiusSearch(const double* query,
-                                     double radius) const;
 
  private:
   const Matrix* points_;

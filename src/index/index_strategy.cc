@@ -1,7 +1,5 @@
 #include "index/index_strategy.h"
 
-#include <vector>
-
 namespace gbx {
 
 namespace {
@@ -25,64 +23,29 @@ constexpr int kRdGbgTreeMaxDimsHigh = 4;   // KD-tree from kRdGbgTreeBigPoints
 constexpr int kRdGbgTreeMinPoints = 4096;
 constexpr int kRdGbgTreeBigPoints = 16384;
 constexpr int kRdGbgTreeMaxThreads = 4;  // for the d<=4 tier only
-// GB-kNN center scan (KNearestSurface): the KD-tree tier is measured at
-// ~4k balls for d<=16 on clustered blob centers (2.6× ahead at 16k
-// balls, d=8; behind from d=16 on isotropic centers but 5–8× ahead on
-// low-intrinsic-dimension centers, which the d_eff gate cannot
-// distinguish cheaply below d=16 — the 16-d cap keeps the iid loss
-// bounded to the ~1.6× measured at d=16 while structured data wins
-// big). Past d=16 every strategy choice hinges on structure: the
-// metric ball-tree is 4.6–6.3× ahead of flat at d=24/32 on rotated
-// informative-subspace centers (and ahead of the KD-tree there), while
-// on isotropic centers both trees lose — so the (16, 32] tier engages
-// only under the EffectiveDimension gate.
-constexpr int kCenterTreeMinBalls = 4096;
-constexpr int kCenterTreeMaxDims = 16;
-constexpr int kCenterBallTreeMaxDims = 32;
-constexpr double kCenterBallTreeMaxEffDims = 8.0;
-// EffectiveDimension subsample bound: past ~2k rows the spectrum
-// estimate is stable and the O(n·d²) cost stops being free.
-constexpr int kEffDimMaxRows = 2048;
+// GB-kNN center scan, against the fused SIMD top-k scan (4-core AVX-512
+// VM; the rows sit in the bench_index_dynamic section of the GB-kNN
+// BENCH_*.json at the repo root). Fitted models decide:
+// bench_index_dynamic BM_GbKnnPredict (2 000 queries, GBX_THREADS=2)
+// has the scan ahead of the best tree on every d=10 blob row (1.31–3.9x,
+// 614–15 583 balls) and every d=24 low-intrinsic-dimension row (1.49–
+// 3.1x, 704–13 309 balls), and gbxbench's magic model (7 009 balls,
+// d=10) serves in 15–19 us flat against 130–151 us through the KD-tree
+// (four traced runs). So the old d<=16 KD-tree tier and the
+// structure-gated (16, 32] ball-tree tier are gone. Only the KD-tree at
+// d<=2 survives: on banana models it leads from 2 148 balls (k=1: 1.96
+// ms against the scan's 3.32; k=3: 3.31 against 4.31), while below ~2k
+// balls the two sit within ~1.2x either way (155 balls, k=1: 0.84
+// against 0.71; 601 balls: 1.08 against 1.30; gbxbench banana's 1 150
+// balls: 2.10–2.18 us against 1.93–1.97). BM_CenterSurfaceKnn's
+// synthetic center sets (random radii, not a granulation) put that
+// crossover lower and still show a tree ahead in two off-tier cells
+// (KD-tree at d=8, 16k centers, k=1: 1.48x; ball-tree on structured
+// d=32, 16k centers: 1.1–1.3x); no fitted model reproduces either, so
+// neither keeps a tier.
+constexpr int kCenterTreeMaxDims = 2;
+constexpr int kCenterTreeMinBalls = 2048;
 }  // namespace
-
-double EffectiveDimension(const Matrix& points) {
-  const int n = points.rows();
-  const int d = points.cols();
-  if (n < 2 || d < 1) return d;
-  const int stride = n > kEffDimMaxRows ? n / kEffDimMaxRows : 1;
-
-  std::vector<double> mean(d, 0.0);
-  int used = 0;
-  for (int i = 0; i < n; i += stride) {
-    const double* row = points.Row(i);
-    for (int j = 0; j < d; ++j) mean[j] += row[j];
-    ++used;
-  }
-  for (int j = 0; j < d; ++j) mean[j] /= used;
-
-  // Upper triangle of the (unnormalized) covariance; the participation
-  // ratio is scale-invariant, so the 1/(used-1) factor cancels.
-  std::vector<double> cov(static_cast<std::size_t>(d) * d, 0.0);
-  for (int i = 0; i < n; i += stride) {
-    const double* row = points.Row(i);
-    for (int a = 0; a < d; ++a) {
-      const double va = row[a] - mean[a];
-      double* cov_row = &cov[static_cast<std::size_t>(a) * d];
-      for (int b = a; b < d; ++b) cov_row[b] += va * (row[b] - mean[b]);
-    }
-  }
-  double trace = 0.0;
-  double frob2 = 0.0;
-  for (int a = 0; a < d; ++a) {
-    const double* cov_row = &cov[static_cast<std::size_t>(a) * d];
-    trace += cov_row[a];
-    for (int b = a; b < d; ++b) {
-      frob2 += (a == b ? 1.0 : 2.0) * cov_row[b] * cov_row[b];
-    }
-  }
-  // (Σλ)² / Σλ² via trace(C)² / ‖C‖²_F (C symmetric, λ its spectrum).
-  return frob2 > 0.0 ? trace * trace / frob2 : d;
-}
 
 const char* IndexStrategyName(IndexStrategy strategy) {
   switch (strategy) {
@@ -124,29 +87,14 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
 }
 
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
-                                         int num_balls, int dims,
-                                         const Matrix* centers) {
+                                         int num_balls, int dims) {
   if (requested != IndexStrategy::kAuto) return requested;
-  // Thread-awareness, re-measured under GBX_THREADS ∈ {1, 4, 8}
-  // (bench_index_dynamic BM_GbKnnPredict): unlike RD-GBG — where the
-  // flat scan parallelizes *inside* the serial candidate loop and a
-  // tree query cannot — batch prediction fans out over queries for
-  // every strategy, so the tree's margin (2.3× at 15.6k balls, d=10)
-  // is invariant in the worker count and the entry bar must NOT rise
-  // with it (a ×threads bar measurably hands kAuto a 2× loss at
-  // GBX_THREADS=4 on that grid).
-  if (num_balls < kCenterTreeMinBalls) return IndexStrategy::kFlat;
-  if (dims <= kCenterTreeMaxDims) return IndexStrategy::kTree;
-  if (dims <= kCenterBallTreeMaxDims && centers != nullptr &&
-      EffectiveDimension(*centers) <= kCenterBallTreeMaxEffDims) {
-    return IndexStrategy::kBallTree;
-  }
-  return IndexStrategy::kFlat;
-}
-
-bool CenterResolutionWantsCenters(int num_balls, int dims) {
-  return num_balls >= kCenterTreeMinBalls && dims > kCenterTreeMaxDims &&
-         dims <= kCenterBallTreeMaxDims;
+  // No worker count: PredictBatch fans out over queries and a single
+  // Predict scans serially under every strategy, so the crossover is
+  // the single-thread one at any GBX_THREADS.
+  return dims <= kCenterTreeMaxDims && num_balls >= kCenterTreeMinBalls
+             ? IndexStrategy::kTree
+             : IndexStrategy::kFlat;
 }
 
 }  // namespace gbx

@@ -112,34 +112,4 @@ std::vector<Neighbor> KdTree::KNearest(const double* query, int k) const {
   return heap;
 }
 
-void KdTree::SearchRadius(int node_id, const double* query, double r2,
-                          std::vector<Neighbor>* out) const {
-  const Node& node = nodes_[node_id];
-  const int d = points_->cols();
-  if (node.split_dim < 0) {
-    for (int i = node.begin; i < node.end; ++i) {
-      const int idx = order_[i];
-      const double d2 = SquaredDistance(query, points_->Row(idx), d);
-      if (d2 <= r2) out->push_back(Neighbor{idx, d2});
-    }
-    return;
-  }
-  const double diff = query[node.split_dim] - node.split_value;
-  const int near = diff <= 0.0 ? node.left : node.right;
-  const int far = diff <= 0.0 ? node.right : node.left;
-  SearchRadius(near, query, r2, out);
-  if (diff * diff <= r2) SearchRadius(far, query, r2, out);
-}
-
-std::vector<Neighbor> KdTree::RadiusSearch(const double* query,
-                                           double radius) const {
-  GBX_CHECK_GE(radius, 0.0);
-  std::vector<Neighbor> out;
-  if (root_ < 0) return out;
-  SearchRadius(root_, query, radius * radius, &out);
-  for (Neighbor& nb : out) nb.distance = std::sqrt(nb.distance);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace gbx

@@ -1,5 +1,5 @@
 // Static KD-tree over a point matrix: median-split build (O(n log n)),
-// branch-and-bound k-NN and radius queries. Exact — property-tested to
+// branch-and-bound k-NN queries. Exact — property-tested to
 // agree with BruteForceIndex — and much faster for the low/medium-
 // dimensional datasets where kNN classification dominates experiment
 // time.
@@ -23,10 +23,6 @@ class KdTree {
   /// dynamic trees. Ranked by (squared distance, index), Euclidean
   /// distances in the result.
   std::vector<Neighbor> KNearest(const double* query, int k) const;
-  /// All points with squared distance <= radius², sorted by (distance,
-  /// index).
-  std::vector<Neighbor> RadiusSearch(const double* query,
-                                     double radius) const;
 
   int size() const { return points_->rows(); }
 
@@ -44,8 +40,6 @@ class KdTree {
 
   void SearchKnn(int node_id, const double* query, int k,
                  std::vector<Neighbor>* heap) const;
-  void SearchRadius(int node_id, const double* query, double r2,
-                    std::vector<Neighbor>* out) const;
 
   const Matrix* points_;
   int leaf_size_;

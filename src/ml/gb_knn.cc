@@ -26,17 +26,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Applies the training min-max transform to one raw query.
-std::vector<double> ScaleQuery(const MinMaxScaler& scaler, const double* x,
-                               int p) {
-  Matrix tmp(1, p);
-  for (int j = 0; j < p; ++j) tmp.At(0, j) = x[j];
-  const Matrix scaled = scaler.Transform(tmp);
-  std::vector<double> q(p);
-  for (int j = 0; j < p; ++j) q[j] = scaled.At(0, j);
-  return q;
-}
-
 }  // namespace
 
 GbKnnClassifier::GbKnnClassifier(RdGbgConfig gbg, int k)
@@ -98,7 +87,7 @@ IndexStrategy GbKnnClassifier::resolved_index_strategy() const {
 }
 
 void GbKnnClassifier::RebuildCenterIndex() {
-  // RAII: the early returns below (unfitted, flat backend) are builds
+  // RAII: the early returns below (unfitted, tree backend) are builds
   // too, just trivial ones.
   static metrics::Histogram* build_hist =
       CorePhaseHistogram("gbknn_index_build");
@@ -110,41 +99,23 @@ void GbKnnClassifier::RebuildCenterIndex() {
   if (!fitted()) return;
   const int m = balls_.size();
   const int p = balls_.scaled_features().cols();
-  const auto materialize = [&](Matrix* centers, std::vector<double>* radii) {
-    *centers = Matrix(m, p);
-    radii->resize(m);
+  const IndexStrategy backend =
+      ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p);
+  if (backend == IndexStrategy::kTree || backend == IndexStrategy::kBallTree) {
+    Matrix centers(m, p);
+    std::vector<double> radii(m);
     for (int i = 0; i < m; ++i) {
       const GranularBall& ball = balls_.ball(i);
-      for (int j = 0; j < p; ++j) centers->At(i, j) = ball.center[j];
-      (*radii)[i] = ball.radius;
+      std::copy(ball.center.begin(), ball.center.end(), centers.Row(i));
+      radii[i] = ball.radius;
     }
-  };
-  // Resolve before materializing: only kAuto's EffectiveDimension-gated
-  // ball-tree tier inspects the centers, so the common flat path skips
-  // the O(m·p) copy entirely.
-  Matrix centers;
-  std::vector<double> radii;
-  IndexStrategy backend;
-  if (gbg_config_.index_strategy == IndexStrategy::kAuto &&
-      CenterResolutionWantsCenters(m, p)) {
-    materialize(&centers, &radii);
-    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p,
-                                         &centers);
-  } else {
-    backend = ResolveCenterIndexStrategy(gbg_config_.index_strategy, m, p);
-    if (backend == IndexStrategy::kTree ||
-        backend == IndexStrategy::kBallTree) {
-      materialize(&centers, &radii);
-    }
-  }
-  if (backend == IndexStrategy::kTree || backend == IndexStrategy::kBallTree) {
     center_index_ = std::make_shared<const CenterIndex>(
         std::move(centers), std::move(radii), backend);
     resolved_ = backend;
     return;
   }
-  // Flat: pack the centers into the SoA blocked layout the SIMD
-  // surface-score kernel streams (src/simd/simd.h).
+  // Flat: pack the centers into the SoA blocked layout the fused SIMD
+  // top-k scan streams (src/simd/simd.h).
   auto flat = std::make_shared<FlatCenters>();
   flat->soa = SoaMatrix(p);
   flat->soa.Reserve(m);
@@ -158,75 +129,61 @@ void GbKnnClassifier::RebuildCenterIndex() {
 }
 
 int GbKnnClassifier::VoteOverNearest(
-    const std::vector<std::pair<double, int>>& dists, int k) const {
+    const std::vector<std::pair<double, int>>& top) const {
+  const int k = static_cast<int>(top.size());
   std::vector<int> votes(num_classes_, 0);
-  for (int i = 0; i < k; ++i) ++votes[balls_.ball(dists[i].second).label];
+  for (int i = 0; i < k; ++i) ++votes[balls_.ball(top[i].second).label];
   int best = 0;
   for (int c = 1; c < num_classes_; ++c) {
     if (votes[c] > votes[best]) best = c;
   }
   for (int i = 0; i < k; ++i) {
-    const int cls = balls_.ball(dists[i].second).label;
+    const int cls = balls_.ball(top[i].second).label;
     if (votes[cls] == votes[best]) return cls;
   }
   return best;
 }
 
-std::vector<std::pair<double, int>> GbKnnClassifier::ScoredTopK(
-    const std::vector<double>& q, int k) const {
-  const std::shared_ptr<const CenterIndex> index = center_index_;
-  if (index != nullptr) {
+std::vector<std::pair<double, int>> GbKnnClassifier::NearestBalls(
+    const double* x, int k) const {
+  GBX_CHECK_MSG(fitted(),
+                "GB-kNN: Predict called before Fit/Restore (empty ball set)");
+  k = std::min(k, balls_.size());
+  if (k <= 0) return {};
+  std::vector<double> q(balls_.scaled_features().cols());
+  scaler_.TransformRow(x, q.data());
+  std::vector<std::pair<double, int>> top(k);
+  if (center_index_ != nullptr) {
     // KNearestSurface ranks balls by the flat scan's exact (score,
     // index) order — score = dist - r inside, dist outside, computed
-    // with the identical arithmetic — so its top-k IS the flat
-    // partial_sort's top-k, bit for bit, whichever tree backend is
-    // behind it.
-    const std::vector<Neighbor> top = index->KNearestSurface(q.data(), k);
-    GBX_DCHECK(static_cast<int>(top.size()) == k);
-    std::vector<std::pair<double, int>> dists;
-    dists.reserve(top.size());
-    for (const Neighbor& nb : top) dists.emplace_back(nb.distance, nb.index);
-    return dists;
+    // with the identical arithmetic — so its top-k IS the flat scan's
+    // top-k, bit for bit, whichever tree backend is behind it.
+    const std::vector<Neighbor> nn =
+        center_index_->KNearestSurface(q.data(), k);
+    GBX_DCHECK(static_cast<int>(nn.size()) == k);
+    for (int i = 0; i < k; ++i) top[i] = {nn[i].distance, nn[i].index};
+    return top;
   }
-
-  // Flat scan through the SIMD surface-score kernel. The score fill
-  // writes disjoint slots, so it parallelizes over the pool without
-  // changing the values (the kernel is bit-exact on every dispatch
-  // level); the partial_sort stays serial and deterministic. Under
-  // PredictBatch the outer per-query loop already owns the workers and
-  // this inner loop runs serially (nested parallel regions serialize) —
-  // the fan-out only matters for single large-model Predict calls (the
-  // latency-bound serving path).
-  const std::shared_ptr<const FlatCenters> flat = flat_centers_;
-  GBX_CHECK(flat != nullptr);
-  const int m = flat->soa.rows();
-  const int p = flat->soa.cols();
-  std::vector<double> scores(m);
-  std::vector<std::pair<double, int>> dists(m);
-  ParallelForRange(
-      m, ParallelGrain(p),
-      ParallelThreads(m, p, ResolveNumThreads(gbg_config_.num_threads)),
-      [&](int begin, int end) {
-        simd::SurfaceScores(q.data(), flat->soa, flat->radii.data(), begin,
-                            end, scores.data());
-        for (int i = begin; i < end; ++i) dists[i] = {scores[i], i};
-      });
-  std::partial_sort(dists.begin(), dists.begin() + k, dists.end());
-  dists.resize(k);
-  return dists;
+  // One fused SIMD scan keeps the k best (score, index) pairs in
+  // registers and a k-slot buffer. It runs serially: a pool fan-out
+  // over one query's balls costs more than it saves, and PredictBatch
+  // already fans out over queries.
+  GBX_CHECK(flat_centers_ != nullptr);
+  const FlatCenters& flat = *flat_centers_;
+  [[maybe_unused]] const int got = simd::SurfaceTopK(
+      q.data(), flat.soa, flat.radii.data(), 0, flat.soa.rows(), k,
+      top.data());
+  GBX_DCHECK(got == k);
+  return top;
 }
 
 int GbKnnClassifier::Predict(const double* x) const {
-  GBX_CHECK_MSG(fitted(),
-                "GB-kNN: Predict called before Fit/Restore (empty ball set)");
-  const int p = balls_.scaled_features().cols();
   // Ball score: a query inside a ball (pure, non-overlapping region) is
   // decided by it — score = dist - r < 0, unique by the non-overlap
   // invariant. Outside every ball, the nearest *center* wins. (Plain
   // dist - r for far queries lets large-radius balls dominate under
   // high-dimensional distance concentration.)
-  const int k = std::min(k_, balls_.size());
-  return VoteOverNearest(ScoredTopK(ScaleQuery(scaler_, x, p), k), k);
+  return VoteOverNearest(NearestBalls(x, k_));
 }
 
 std::vector<int> GbKnnClassifier::PredictBatch(const Matrix& x) const {

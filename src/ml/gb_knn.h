@@ -33,6 +33,13 @@ class GbKnnClassifier : public Classifier {
   std::vector<int> PredictBatch(const Matrix& x) const override;
   std::string name() const override { return "GB-kNN"; }
 
+  /// The min(k, num_balls()) balls with the lowest surface score for the
+  /// raw query `x`, as ascending (score, ball index) pairs with ties to
+  /// the lower index: the balls Predict votes over (with k = k()).
+  /// Bit-identical under every index strategy.
+  std::vector<std::pair<double, int>> NearestBalls(const double* x,
+                                                   int k) const;
+
   /// Restores a fitted state without re-granulating (model
   /// deserialization; see serve/model_io.h). `balls` must be non-empty,
   /// `scaler` fitted over the same dimensionality, and `num_classes`
@@ -54,15 +61,15 @@ class GbKnnClassifier : public Classifier {
   int num_balls() const { return balls_.size(); }
   const GranularBallSet& balls() const { return balls_; }
 
-  /// Chooses how Predict scans the ball centers: kFlat is the exhaustive
-  /// per-query scan (SIMD surface-score kernel over the SoA center
-  /// layout, parallelized over the pool for large ball sets), kTree a
-  /// KD-tree and kBallTree a metric ball-tree over the centers, built
-  /// once at Fit/Restore and shared by Predict / PredictBatch / the
-  /// serving engine; kAuto resolves by ball count, dimensionality and
-  /// the centers' effective dimension. Every strategy returns
-  /// bit-identical predictions — both trees rank balls by the flat
-  /// scan's exact (score, index) order via KNearestSurface, whose
+  /// Chooses how Predict scans the ball centers: kFlat is one serial
+  /// fused SIMD top-k pass over the SoA center layout
+  /// (simd::SurfaceTopK), kTree a KD-tree and kBallTree a metric
+  /// ball-tree over the centers, built once at Fit/Restore and shared by
+  /// Predict / PredictBatch / the serving engine; kAuto resolves by ball
+  /// count and dimensionality — the KD-tree at d<=2 from ~2k balls, the
+  /// flat scan everywhere else (index/index_strategy.h). Every strategy
+  /// returns bit-identical predictions — both trees rank balls by the
+  /// flat scan's exact (score, index) order via KNearestSurface, whose
   /// subtree bound is a certain score lower bound. The knob is pure
   /// runtime state: model artifacts never persist it, and a model saved
   /// under one strategy predicts identically under the others
@@ -80,8 +87,8 @@ class GbKnnClassifier : public Classifier {
  private:
   // Ball centers as a matrix, radii as per-center weights, and one tree
   // backend over them serving the surface-distance query
-  // (KNearestSurface) — a KD-tree up to the box-pruning crossover, a
-  // metric ball-tree past it. Heap-allocated as one block so the tree's
+  // (KNearestSurface) — the KD-tree kAuto picks at d<=2, or a forced
+  // metric ball-tree. Heap-allocated as one block so the tree's
   // pointers into `centers`/`radii` survive moves of the classifier;
   // shared_ptr keeps the classifier copyable (the index is immutable
   // after construction, so sharing is safe — queries never mutate the
@@ -105,9 +112,10 @@ class GbKnnClassifier : public Classifier {
     }
   };
 
-  // Flat-scan backend: centers and radii in the SoA blocked layout the
-  // SIMD kernels stream (src/simd/simd.h), row i = ball i. shared_ptr
-  // for the same copyability/move-stability reasons as CenterIndex.
+  // Flat-scan backend: centers and radii in the SoA blocked layout that
+  // simd::SurfaceTopK streams in one pass per query (src/simd/simd.h),
+  // row i = ball i. shared_ptr for the same copyability/move-stability
+  // reasons as CenterIndex.
   struct FlatCenters {
     SoaMatrix soa;
     std::vector<double> radii;
@@ -116,12 +124,7 @@ class GbKnnClassifier : public Classifier {
   /// (Re)derives the resolved strategy and builds the center tree or
   /// the SoA flat backend. Called by Fit/Restore/set_index_strategy.
   void RebuildCenterIndex();
-  /// The top-k (score, ball) pairs for a scaled query, dispatching on
-  /// the resolved backend.
-  std::vector<std::pair<double, int>> ScoredTopK(const std::vector<double>& q,
-                                                 int k) const;
-  int VoteOverNearest(const std::vector<std::pair<double, int>>& dists,
-                      int k) const;
+  int VoteOverNearest(const std::vector<std::pair<double, int>>& top) const;
 
   RdGbgConfig gbg_config_;
   int k_;

@@ -1,5 +1,6 @@
 #include "simd/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 
@@ -182,6 +183,13 @@ double MinSurfaceGap(const double* q, const SoaMatrix& centers,
 void SurfaceScores(const double* q, const SoaMatrix& centers,
                    const double* radii, int begin, int end, double* out) {
   ActiveOps()->surface_scores(q, centers, radii, begin, end, out);
+}
+
+int SurfaceTopK(const double* q, const SoaMatrix& centers, const double* radii,
+                int begin, int end, int k, std::pair<double, int>* out) {
+  k = std::min(k, end - begin);
+  if (k <= 0) return 0;
+  return ActiveOps()->surface_top_k(q, centers, radii, begin, end, k, out);
 }
 
 }  // namespace simd

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <utility>
 
 #include "common/matrix.h"
 
@@ -24,6 +26,9 @@ struct Ops {
                             const double* radii, int begin, int end);
   void (*surface_scores)(const double* q, const SoaMatrix& centers,
                          const double* radii, int begin, int end, double* out);
+  int (*surface_top_k)(const double* q, const SoaMatrix& centers,
+                       const double* radii, int begin, int end, int k,
+                       std::pair<double, int>* out);
 };
 
 /// Null when the level is not compiled into this binary.
@@ -67,6 +72,41 @@ inline double RowSurfaceScore(const double* q, const SoaMatrix& m,
   const double r = radii[row];
   return dist <= r ? dist - r : dist;
 }
+
+/// The bounded sorted buffer behind every level's SurfaceTopK:
+/// out[0..count) ascending by (score, row), at most k >= 1 entries.
+/// Offer maps a NaN score to +inf (simd.h) and compares whole pairs, so
+/// rows may arrive in any order — lane minima merge after the head rows.
+class TopK {
+ public:
+  TopK(int k, std::pair<double, int>* out) : k_(k), out_(out) {}
+
+  int count() const { return count_; }
+  bool full() const { return count_ == k_; }
+  /// The score a row must beat to enter a full buffer. A later row
+  /// that only ties it has a larger index, so it stays out.
+  double threshold() const { return out_[k_ - 1].first; }
+
+  void Offer(double score, int row) {
+    const std::pair<double, int> cand(
+        std::isnan(score) ? std::numeric_limits<double>::infinity() : score,
+        row);
+    int pos = count_;
+    if (full()) {
+      if (!(cand < out_[k_ - 1])) return;
+      --pos;
+    } else {
+      ++count_;
+    }
+    for (; pos > 0 && cand < out_[pos - 1]; --pos) out_[pos] = out_[pos - 1];
+    out_[pos] = cand;
+  }
+
+ private:
+  int k_;
+  std::pair<double, int>* out_;
+  int count_ = 0;
+};
 
 }  // namespace internal
 }  // namespace simd

@@ -91,36 +91,106 @@ double MinSurfaceGapAvx2(const double* q, const SoaMatrix& centers,
   return best;
 }
 
+// The GB-kNN surface scores of the full block at row i (i % 8 == 0),
+// as two 4-row halves. Ordered <= is false on NaN, so a NaN dist blends
+// to itself — the scalar ternary's behavior.
+inline void BlockSurfaceScore(const double* q, const SoaMatrix& centers,
+                              const double* radii, int i, __m256d* s0,
+                              __m256d* s1) {
+  __m256d acc0, acc1;
+  BlockSquaredDistance(q, BlockBase(centers, i), centers.cols(), &acc0,
+                       &acc1);
+  const __m256d dist0 = _mm256_sqrt_pd(acc0);
+  const __m256d dist1 = _mm256_sqrt_pd(acc1);
+  const __m256d r0 = _mm256_loadu_pd(radii + i);
+  const __m256d r1 = _mm256_loadu_pd(radii + i + 4);
+  const __m256d le0 = _mm256_cmp_pd(dist0, r0, _CMP_LE_OQ);
+  const __m256d le1 = _mm256_cmp_pd(dist1, r1, _CMP_LE_OQ);
+  *s0 = _mm256_blendv_pd(dist0, _mm256_sub_pd(dist0, r0), le0);
+  *s1 = _mm256_blendv_pd(dist1, _mm256_sub_pd(dist1, r1), le1);
+}
+
 void SurfaceScoresAvx2(const double* q, const SoaMatrix& centers,
                        const double* radii, int begin, int end, double* out) {
-  const int d = centers.cols();
   int i = begin;
   for (; i < end && i % kSoaBlock != 0; ++i) {
     out[i] = RowSurfaceScore(q, centers, radii, i);
   }
   for (; i + kSoaBlock <= end; i += kSoaBlock) {
-    __m256d acc0, acc1;
-    BlockSquaredDistance(q, BlockBase(centers, i), d, &acc0, &acc1);
-    const __m256d dist0 = _mm256_sqrt_pd(acc0);
-    const __m256d dist1 = _mm256_sqrt_pd(acc1);
-    const __m256d r0 = _mm256_loadu_pd(radii + i);
-    const __m256d r1 = _mm256_loadu_pd(radii + i + 4);
-    // Ordered <= is false on NaN, so a NaN dist blends to itself — the
-    // scalar ternary's behavior.
-    const __m256d le0 = _mm256_cmp_pd(dist0, r0, _CMP_LE_OQ);
-    const __m256d le1 = _mm256_cmp_pd(dist1, r1, _CMP_LE_OQ);
-    _mm256_storeu_pd(
-        out + i, _mm256_blendv_pd(dist0, _mm256_sub_pd(dist0, r0), le0));
-    _mm256_storeu_pd(
-        out + i + 4, _mm256_blendv_pd(dist1, _mm256_sub_pd(dist1, r1), le1));
+    __m256d s0, s1;
+    BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
+    _mm256_storeu_pd(out + i, s0);
+    _mm256_storeu_pd(out + i + 4, s1);
   }
   for (; i < end; ++i) out[i] = RowSurfaceScore(q, centers, radii, i);
+}
+
+int SurfaceTopKAvx2(const double* q, const SoaMatrix& centers,
+                    const double* radii, int begin, int end, int k,
+                    std::pair<double, int>* out) {
+  TopK top(k, out);
+  int i = begin;
+  for (; i < end && i % kSoaBlock != 0; ++i) {
+    top.Offer(RowSurfaceScore(q, centers, radii, i), i);
+  }
+  alignas(32) double lanes[kSoaBlock];
+  __m256d s0, s1;
+  if (k == 1 && i + kSoaBlock <= end) {
+    // Lane-wise argmin, as in kernels_avx512.cc: seeded from the first
+    // block with NaN as +inf, a lane moves only on a strictly smaller
+    // score (ordered < is false on NaN), keeping its earliest row.
+    const __m256d inf =
+        _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
+    __m256d best0 =
+        _mm256_blendv_pd(s0, inf, _mm256_cmp_pd(s0, s0, _CMP_UNORD_Q));
+    __m256d best1 =
+        _mm256_blendv_pd(s1, inf, _mm256_cmp_pd(s1, s1, _CMP_UNORD_Q));
+    __m256d from0 = _mm256_set1_pd(i);
+    __m256d from1 = from0;
+    for (i += kSoaBlock; i + kSoaBlock <= end; i += kSoaBlock) {
+      BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
+      const __m256d at = _mm256_set1_pd(i);
+      const __m256d lt0 = _mm256_cmp_pd(s0, best0, _CMP_LT_OQ);
+      const __m256d lt1 = _mm256_cmp_pd(s1, best1, _CMP_LT_OQ);
+      best0 = _mm256_blendv_pd(best0, s0, lt0);
+      best1 = _mm256_blendv_pd(best1, s1, lt1);
+      from0 = _mm256_blendv_pd(from0, at, lt0);
+      from1 = _mm256_blendv_pd(from1, at, lt1);
+    }
+    alignas(32) double rows[kSoaBlock];
+    _mm256_store_pd(lanes, best0);
+    _mm256_store_pd(lanes + 4, best1);
+    _mm256_store_pd(rows, from0);
+    _mm256_store_pd(rows + 4, from1);
+    for (int l = 0; l < kSoaBlock; ++l) {
+      top.Offer(lanes[l], static_cast<int>(rows[l]) + l);
+    }
+  }
+  for (; i + kSoaBlock <= end; i += kSoaBlock) {
+    BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
+    int below = 0xFF;
+    if (top.full()) {
+      const __m256d thr = _mm256_set1_pd(top.threshold());
+      below = _mm256_movemask_pd(_mm256_cmp_pd(s0, thr, _CMP_LT_OQ)) |
+              (_mm256_movemask_pd(_mm256_cmp_pd(s1, thr, _CMP_LT_OQ)) << 4);
+    }
+    if (below == 0) continue;
+    _mm256_store_pd(lanes, s0);
+    _mm256_store_pd(lanes + 4, s1);
+    for (int l = 0; l < kSoaBlock; ++l) {
+      if ((below >> l) & 1) top.Offer(lanes[l], i + l);
+    }
+  }
+  for (; i < end; ++i) top.Offer(RowSurfaceScore(q, centers, radii, i), i);
+  return top.count();
 }
 
 const Ops kAvx2Ops = {
     SquaredDistanceBatchAvx2,
     MinSurfaceGapAvx2,
     SurfaceScoresAvx2,
+    SurfaceTopKAvx2,
 };
 
 }  // namespace

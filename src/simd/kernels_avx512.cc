@@ -73,30 +73,84 @@ double MinSurfaceGapAvx512(const double* q, const SoaMatrix& centers,
   return best;
 }
 
+// The GB-kNN surface score of the full block at row i (i % 8 == 0).
+// Ordered <= is false on NaN: lanes with NaN dist keep dist, as the
+// scalar ternary does.
+inline __m512d BlockSurfaceScore(const double* q, const SoaMatrix& centers,
+                                 const double* radii, int i) {
+  const __m512d dist = _mm512_sqrt_pd(
+      BlockSquaredDistance(q, BlockBase(centers, i), centers.cols()));
+  const __m512d r = _mm512_loadu_pd(radii + i);
+  const __mmask8 le = _mm512_cmp_pd_mask(dist, r, _CMP_LE_OQ);
+  return _mm512_mask_sub_pd(dist, le, dist, r);
+}
+
 void SurfaceScoresAvx512(const double* q, const SoaMatrix& centers,
                          const double* radii, int begin, int end,
                          double* out) {
-  const int d = centers.cols();
   int i = begin;
   for (; i < end && i % kSoaBlock != 0; ++i) {
     out[i] = RowSurfaceScore(q, centers, radii, i);
   }
   for (; i + kSoaBlock <= end; i += kSoaBlock) {
-    const __m512d dist =
-        _mm512_sqrt_pd(BlockSquaredDistance(q, BlockBase(centers, i), d));
-    const __m512d r = _mm512_loadu_pd(radii + i);
-    // Ordered <= is false on NaN: lanes with NaN dist keep dist, as the
-    // scalar ternary does.
-    const __mmask8 le = _mm512_cmp_pd_mask(dist, r, _CMP_LE_OQ);
-    _mm512_storeu_pd(out + i, _mm512_mask_sub_pd(dist, le, dist, r));
+    _mm512_storeu_pd(out + i, BlockSurfaceScore(q, centers, radii, i));
   }
   for (; i < end; ++i) out[i] = RowSurfaceScore(q, centers, radii, i);
+}
+
+int SurfaceTopKAvx512(const double* q, const SoaMatrix& centers,
+                      const double* radii, int begin, int end, int k,
+                      std::pair<double, int>* out) {
+  TopK top(k, out);
+  int i = begin;
+  for (; i < end && i % kSoaBlock != 0; ++i) {
+    top.Offer(RowSurfaceScore(q, centers, radii, i), i);
+  }
+  alignas(64) double lanes[kSoaBlock];
+  if (k == 1 && i + kSoaBlock <= end) {
+    // Lane-wise argmin: lane l keeps the best score of rows i + l and
+    // the block it came from. Seeded from the first block (NaN as
+    // +inf), it moves only on a strictly smaller score, so each lane
+    // keeps its earliest row on ties; ordered < is false on NaN.
+    __m512d s = BlockSurfaceScore(q, centers, radii, i);
+    __m512d best = _mm512_mask_mov_pd(
+        s, _mm512_cmp_pd_mask(s, s, _CMP_UNORD_Q),
+        _mm512_set1_pd(std::numeric_limits<double>::infinity()));
+    __m512d from = _mm512_set1_pd(i);
+    for (i += kSoaBlock; i + kSoaBlock <= end; i += kSoaBlock) {
+      s = BlockSurfaceScore(q, centers, radii, i);
+      const __mmask8 lt = _mm512_cmp_pd_mask(s, best, _CMP_LT_OQ);
+      best = _mm512_mask_mov_pd(best, lt, s);
+      from = _mm512_mask_mov_pd(from, lt, _mm512_set1_pd(i));
+    }
+    alignas(64) double rows[kSoaBlock];
+    _mm512_store_pd(lanes, best);
+    _mm512_store_pd(rows, from);
+    for (int l = 0; l < kSoaBlock; ++l) {
+      top.Offer(lanes[l], static_cast<int>(rows[l]) + l);
+    }
+  }
+  for (; i + kSoaBlock <= end; i += kSoaBlock) {
+    const __m512d s = BlockSurfaceScore(q, centers, radii, i);
+    const __mmask8 below =
+        top.full() ? _mm512_cmp_pd_mask(s, _mm512_set1_pd(top.threshold()),
+                                        _CMP_LT_OQ)
+                   : 0xFF;
+    if (below == 0) continue;
+    _mm512_store_pd(lanes, s);
+    for (int l = 0; l < kSoaBlock; ++l) {
+      if ((below >> l) & 1) top.Offer(lanes[l], i + l);
+    }
+  }
+  for (; i < end; ++i) top.Offer(RowSurfaceScore(q, centers, radii, i), i);
+  return top.count();
 }
 
 const Ops kAvx512Ops = {
     SquaredDistanceBatchAvx512,
     MinSurfaceGapAvx512,
     SurfaceScoresAvx512,
+    SurfaceTopKAvx512,
 };
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Batched flat-scan kernels behind a runtime dispatch shim. The three
+// Batched flat-scan kernels behind a runtime dispatch shim. The four
 // kernels cover the system's distance-dominated hot loops — RD-GBG's
 // per-candidate squared-distance fill, the Eq.-4 conflict-radius
-// (r_conf) gap scan, and GB-kNN's surface-score scan — each streaming a
+// (r_conf) gap scan, and GB-kNN's surface-score scan and fused top-k
+// selection — each streaming a
 // SoaMatrix (common/matrix.h) so one vector register holds the same
 // coordinate of kSoaBlock rows.
 //
@@ -34,6 +35,7 @@
 #define GBX_SIMD_SIMD_H_
 
 #include <string>
+#include <utility>
 
 #include "common/matrix.h"
 
@@ -98,6 +100,19 @@ double MinSurfaceGap(const double* q, const SoaMatrix& centers,
 /// absolutely. Bit-identical to the scalar ternary per row.
 void SurfaceScores(const double* q, const SoaMatrix& centers,
                    const double* radii, int begin, int end, double* out);
+
+/// The fused GB-kNN top-k scan: the min(k, end - begin) smallest
+/// (surface score, row) pairs over rows [begin, end), written to
+/// out[0..) in ascending (score, row) order; returns how many were
+/// written. A NaN score ranks and reports as +infinity, so NaN rows
+/// come after every finite score and tie with +inf rows by row index.
+/// On non-NaN scores the result is bit-identical to partial_sort over
+/// the (SurfaceScores value, row) pairs. k = 1 is a lane-wise argmin;
+/// larger k filters whole blocks against the current k-th score and
+/// inserts only the rows below it. `out` needs min(k, end - begin)
+/// slots; nothing m-sized is allocated.
+int SurfaceTopK(const double* q, const SoaMatrix& centers, const double* radii,
+                int begin, int end, int k, std::pair<double, int>* out);
 
 }  // namespace simd
 }  // namespace gbx

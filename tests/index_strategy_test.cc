@@ -1,17 +1,15 @@
 // The IndexStrategy resolution machinery: name/parse round-trips for
-// all four strategies, the EffectiveDimension participation-ratio
-// estimator (isotropic clouds read as ~d, embedded low-dimensional
-// subspaces read as ~their dimension regardless of ambient d or
-// orientation), and the kAuto tier semantics — size gates, thread
-// scaling, and GB-kNN's d_eff structure gate that separates "distance
-// concentration, stay flat" from "real structure, keep the tree".
+// all four strategies and the kAuto tier tables — RD-GBG's size and
+// thread gates, and GB-kNN's single d<=2 KD-tree tier in front of the
+// fused SIMD top-k scan.
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "data/synthetic.h"
 #include "index/index_strategy.h"
+#include "ml/gb_knn.h"
 
 namespace gbx {
 namespace {
@@ -31,59 +29,6 @@ TEST(IndexStrategyTest, NameParseRoundTrip) {
   EXPECT_FALSE(ParseIndexStrategy("", &out));
   EXPECT_FALSE(ParseIndexStrategy("sampled", &out));
   EXPECT_EQ(out, IndexStrategy::kTree) << "failed parse must not write";
-}
-
-Matrix IsotropicCloud(int n, int d, std::uint64_t seed) {
-  Pcg32 rng(seed);
-  Matrix m(n, d);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) m.At(i, j) = rng.NextGaussian();
-  }
-  return m;
-}
-
-// Points near a k-dimensional subspace of R^d, then rotated so the
-// subspace is not axis-aligned — the participation ratio must still
-// read ~k.
-Matrix EmbeddedSubspace(int n, int d, int k, double noise,
-                        std::uint64_t seed) {
-  Pcg32 rng(seed);
-  Matrix m(n, d, 0.0);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < k; ++j) m.At(i, j) = rng.NextGaussian() * 2.0;
-    for (int j = k; j < d; ++j) m.At(i, j) = rng.NextGaussian() * noise;
-  }
-  RotateFeatures(&m, &rng);
-  return m;
-}
-
-TEST(EffectiveDimensionTest, IsotropicCloudReadsAmbientDimension) {
-  for (int d : {2, 8, 24}) {
-    const double d_eff = EffectiveDimension(IsotropicCloud(4000, d, 11 + d));
-    EXPECT_GT(d_eff, 0.8 * d) << "d=" << d;
-    EXPECT_LE(d_eff, 1.05 * d) << "d=" << d;
-  }
-}
-
-TEST(EffectiveDimensionTest, EmbeddedSubspaceReadsIntrinsicDimension) {
-  for (int d : {12, 24, 48}) {
-    const double d_eff =
-        EffectiveDimension(EmbeddedSubspace(4000, d, 3, 0.05, 17 + d));
-    EXPECT_GT(d_eff, 1.5) << "d=" << d;
-    EXPECT_LT(d_eff, 5.0) << "ambient d=" << d
-                          << " must not leak into the estimate";
-  }
-}
-
-TEST(EffectiveDimensionTest, DegenerateInputs) {
-  // Fewer than two rows, or zero variance: fall back to the ambient d.
-  EXPECT_EQ(EffectiveDimension(Matrix(0, 5)), 5.0);
-  EXPECT_EQ(EffectiveDimension(Matrix(1, 5)), 5.0);
-  EXPECT_EQ(EffectiveDimension(Matrix(100, 3, /*fill=*/2.5)), 3.0);
-  // A single spread dimension is effectively one-dimensional.
-  Matrix line(500, 4, 0.0);
-  for (int i = 0; i < 500; ++i) line.At(i, 2) = i;
-  EXPECT_NEAR(EffectiveDimension(line), 1.0, 1e-9);
 }
 
 TEST(ResolveRdGbgTest, ExplicitRequestsPassThrough) {
@@ -121,36 +66,58 @@ TEST(ResolveRdGbgTest, ModerateDimsStayFlatWhateverTheStructure) {
   }
 }
 
-TEST(ResolveCenterTest, SizeGate) {
-  // Tree from 4096 balls (d<=16). The resolver takes no worker count:
-  // batch prediction parallelizes over queries for every strategy, so
-  // the measured crossover does not move with GBX_THREADS (a ×threads
-  // bar was measured to hand kAuto a 2× loss at 4 workers; see
-  // index_strategy.cc).
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4096, 10),
-            IndexStrategy::kTree);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 4095, 10),
-            IndexStrategy::kFlat);
+TEST(ResolveCenterTest, ExplicitRequestsPassThrough) {
+  for (IndexStrategy s : {IndexStrategy::kFlat, IndexStrategy::kTree,
+                          IndexStrategy::kBallTree}) {
+    EXPECT_EQ(ResolveCenterIndexStrategy(s, 1, 1000), s);
+    EXPECT_EQ(ResolveCenterIndexStrategy(s, 100000, 2), s);
+  }
 }
 
-TEST(ResolveCenterTest, BallTreeTierNeedsStructure) {
-  const Matrix structured = EmbeddedSubspace(8000, 24, 3, 0.05, 5);
-  const Matrix isotropic = IsotropicCloud(8000, 24, 6);
-  EXPECT_EQ(
-      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, &structured),
-      IndexStrategy::kBallTree);
-  EXPECT_EQ(
-      ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24, &isotropic),
-      IndexStrategy::kFlat);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 24),
+TEST(ResolveCenterTest, KdTreeOnlyAtTwoDimsFrom2048Balls) {
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 2048, 2),
+            IndexStrategy::kTree);
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 2048, 1),
+            IndexStrategy::kTree);
+  // banana's ~1 150-ball model serves flat.
+  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 2047, 2),
             IndexStrategy::kFlat);
-  // Past d=32 even structure does not rescue tree pruning.
-  const Matrix deep = EmbeddedSubspace(8000, 40, 3, 0.05, 7);
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, 8000, 40, &deep),
-            IndexStrategy::kFlat);
-  // Explicit requests pass through untouched.
-  EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kBallTree, 1, 1000),
-            IndexStrategy::kBallTree);
+  // From d=3 on, no ball count leaves the fused scan: the old d<=16
+  // KD-tree tier and the structure-gated (16, 32] ball-tree tier both
+  // lost to it on every measured row.
+  for (int dims : {3, 8, 10, 16, 24, 32, 256}) {
+    for (int balls : {2048, 4096, 16000, 100000}) {
+      EXPECT_EQ(ResolveCenterIndexStrategy(IndexStrategy::kAuto, balls, dims),
+                IndexStrategy::kFlat)
+          << "balls=" << balls << " dims=" << dims;
+    }
+  }
+}
+
+// Regression: gbxbench's magic model (7 009 balls, d = 10) sat inside the
+// old 4 096-ball, d <= 16 KD-tree tier and served ~6x slower than the
+// fused scan. A fitted model of that shape must resolve to the scan.
+TEST(ResolveCenterTest, MagicShapedModelServesFlat) {
+  const int m = 4096;
+  const int d = 10;
+  Pcg32 rng(13);
+  Matrix centers(m, d);
+  std::vector<GranularBall> balls(m);
+  for (int i = 0; i < m; ++i) {
+    for (int j = 0; j < d; ++j) centers.At(i, j) = rng.NextDouble();
+    balls[i].members = {i};
+    balls[i].center.assign(centers.Row(i), centers.Row(i) + d);
+    balls[i].center_index = i;
+    balls[i].radius = 0.01;
+    balls[i].label = i % 2;
+  }
+  MinMaxScaler scaler;
+  scaler.Restore(std::vector<double>(d, 0.0), std::vector<double>(d, 1.0));
+  GbKnnClassifier model;
+  ASSERT_EQ(model.index_strategy(), IndexStrategy::kAuto);
+  model.Restore(GranularBallSet(std::move(balls), centers, 2),
+                std::move(scaler), 2);
+  EXPECT_EQ(model.resolved_index_strategy(), IndexStrategy::kFlat);
 }
 
 }  // namespace

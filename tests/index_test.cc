@@ -37,16 +37,6 @@ TEST(BruteForceTest, KLargerThanNReturnsAll) {
   EXPECT_TRUE(index.KNearest(q, 0).empty());
 }
 
-TEST(BruteForceTest, RadiusSearchInclusive) {
-  const Matrix pts = Matrix::FromRows({{0.0}, {1.0}, {2.0}});
-  BruteForceIndex index(&pts);
-  const double q[] = {0.0};
-  const std::vector<Neighbor> res = index.RadiusSearch(q, 1.0);
-  ASSERT_EQ(res.size(), 2u);  // 0 and 1 (distance exactly 1 included)
-  EXPECT_EQ(res[0].index, 0);
-  EXPECT_EQ(res[1].index, 1);
-}
-
 TEST(KdTreeTest, HandlesDuplicatePoints) {
   const Matrix pts =
       Matrix::FromRows({{1.0, 1.0}, {1.0, 1.0}, {1.0, 1.0}, {2.0, 2.0}});
@@ -64,7 +54,6 @@ TEST(KdTreeTest, EmptyAndSinglePoint) {
   KdTree tree(&empty);
   const double q[] = {0.0, 0.0, 0.0};
   EXPECT_TRUE(tree.KNearest(q, 5).empty());
-  EXPECT_TRUE(tree.RadiusSearch(q, 1.0).empty());
 
   const Matrix one = Matrix::FromRows({{1.0, 2.0, 3.0}});
   KdTree tree1(&one);
@@ -98,25 +87,6 @@ TEST_P(KdTreeEquivalenceTest, MatchesBruteForceKnn) {
   }
 }
 
-TEST_P(KdTreeEquivalenceTest, MatchesBruteForceRadius) {
-  const auto [n, d, leaf_size] = GetParam();
-  const Matrix pts = RandomPoints(n, d, 200 + n + d);
-  BruteForceIndex brute(&pts);
-  KdTree tree(&pts, leaf_size);
-  Pcg32 rng(n * 37 + d);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<double> q(d);
-    for (int j = 0; j < d; ++j) q[j] = rng.NextGaussian();
-    const double radius = 0.5 + rng.NextDouble() * 2.0;
-    const std::vector<Neighbor> expected = brute.RadiusSearch(q.data(), radius);
-    const std::vector<Neighbor> actual = tree.RadiusSearch(q.data(), radius);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].index, expected[i].index);
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, KdTreeEquivalenceTest,
     ::testing::Combine(::testing::Values(1, 5, 64, 257, 1500),
@@ -142,14 +112,6 @@ TEST(KdTreeEquivalenceTest, MatchesBruteForceOnDataPointQueries) {
     for (std::size_t j = 0; j < expected.size(); ++j) {
       ASSERT_EQ(actual[j].index, expected[j].index) << "query " << i;
       ASSERT_NEAR(actual[j].distance, expected[j].distance, 1e-12);
-    }
-    const std::vector<Neighbor> rad_expected =
-        brute.RadiusSearch(pts.Row(i), 0.75);
-    const std::vector<Neighbor> rad_actual =
-        tree.RadiusSearch(pts.Row(i), 0.75);
-    ASSERT_EQ(rad_actual.size(), rad_expected.size()) << "query " << i;
-    for (std::size_t j = 0; j < rad_expected.size(); ++j) {
-      ASSERT_EQ(rad_actual[j].index, rad_expected[j].index);
     }
   }
 }

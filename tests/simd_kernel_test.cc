@@ -9,6 +9,7 @@
 // ranges, and NaN/inf rows placed inside the SoA tail block.
 #include "simd/simd.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -371,6 +372,130 @@ TEST_F(SimdKernelOracleTest, SurfaceScoresBitExact) {
   });
 }
 
+// The fused top-k oracle: partial_sort over (score, row) pairs with the
+// documented NaN rule (a NaN score ranks and reports as +inf). k walks
+// the argmin path (1), the thresholded insert path, one full block, a
+// block plus one, every row and past every row.
+std::vector<std::pair<double, int>> RefTopK(const Case& c, int begin, int end,
+                                            int k) {
+  std::vector<std::pair<double, int>> pairs;
+  for (int i = begin; i < end; ++i) {
+    const double s =
+        RefSurfaceScore(c.q.data(), c.rows.Row(i), c.radii[i], c.d);
+    pairs.emplace_back(std::isnan(s) ? kInf : s, i);
+  }
+  const std::size_t kk = std::min<std::size_t>(std::max(k, 0), pairs.size());
+  std::partial_sort(pairs.begin(), pairs.begin() + kk, pairs.end());
+  pairs.resize(kk);
+  return pairs;
+}
+
+::testing::AssertionResult TopKMatches(const Case& c, int begin, int end,
+                                       int k) {
+  const std::vector<std::pair<double, int>> want = RefTopK(c, begin, end, k);
+  std::vector<std::pair<double, int>> got(want.size() + 1, {-7777.25, -1});
+  const int n = SurfaceTopK(c.q.data(), c.soa, c.radii.data(), begin, end, k,
+                            got.data());
+  if (n != static_cast<int>(want.size())) {
+    return ::testing::AssertionFailure() << "count " << n << " want "
+                                         << want.size();
+  }
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    if (got[j].second != want[j].second ||
+        !BitSame(got[j].first, want[j].first)) {
+      return ::testing::AssertionFailure()
+             << "rank " << j << ": (" << got[j].first << ", " << got[j].second
+             << ") want (" << want[j].first << ", " << want[j].second << ")";
+    }
+  }
+  if (got[want.size()].second != -1) {
+    return ::testing::AssertionFailure() << "wrote past the result";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(SimdKernelOracleTest, SurfaceTopKMatchesPartialSort) {
+  ForAllLevelsAndShapes([](const Case& c) {
+    for (auto [begin, end] : Ranges(c.n)) {
+      for (int k : {1, 2, 3, 5, kSoaBlock, kSoaBlock + 1, c.n, c.n + 3}) {
+        EXPECT_TRUE(TopKMatches(c, begin, end, k))
+            << "k=" << k << " range=[" << begin << "," << end << ")";
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  });
+}
+
+// Exact ties go to the lower row: every row of a long run duplicates one
+// of three points with equal radii, so whole blocks tie lane for lane
+// and across lanes, and the winners sit in the head, a middle block and
+// the tail in turn.
+TEST_F(SimdKernelOracleTest, SurfaceTopKTiesGoToLowerRow) {
+  ScopedSimdEnv env;
+  for (Level level : AllLevels()) {
+    if (!env.Force(level)) continue;
+    for (int n : {9, 40, 203}) {
+      Case c = MakeCase(n, 5, /*specials=*/false, 77 + n);
+      c.soa = SoaMatrix(c.d);
+      for (int i = 0; i < n; ++i) {
+        const std::vector<double> src(c.rows.Row(i % 3),
+                                      c.rows.Row(i % 3) + c.d);
+        std::copy(src.begin(), src.end(), c.rows.Row(i));
+        c.radii[i] = 0.25;
+        c.soa.AppendRow(c.rows.Row(i));
+      }
+      for (auto [begin, end] : Ranges(n)) {
+        for (int k : {1, 2, 4, 11, n}) {
+          ASSERT_TRUE(TopKMatches(c, begin, end, k))
+              << LevelName(level) << " n=" << n << " k=" << k << " range=["
+              << begin << "," << end << ")";
+        }
+      }
+    }
+  }
+}
+
+// Infinite and NaN scores: -inf (an infinite radius around a finite
+// distance) ranks first, +inf (an infinite coordinate) after every
+// finite score, and NaN (inf - inf) as +inf — tied with the +inf rows
+// and ordered among them by row. Placed in the head, a full block and
+// the tail.
+TEST_F(SimdKernelOracleTest, SurfaceTopKInfinitiesAndNaN) {
+  ScopedSimdEnv env;
+  const int n = 29;
+  const int d = 3;
+  Case c = MakeCase(n, d, /*specials=*/false, 4242);
+  c.soa = SoaMatrix(d);
+  for (int i : {1, 12, 27}) c.radii[i] = Opaque(kInf);  // score -inf
+  for (int i : {2, 9, 10, 26}) c.rows.Row(i)[1] = Opaque(kInf);  // +inf
+  for (int i : {0, 11, 28}) {  // dist = r = inf: inf - inf = NaN
+    c.rows.Row(i)[0] = Opaque(kInf);
+    c.radii[i] = Opaque(kInf);
+  }
+  for (int i = 0; i < n; ++i) c.soa.AppendRow(c.rows.Row(i));
+  const double s0 =
+      RefSurfaceScore(c.q.data(), c.rows.Row(0), c.radii[0], d);
+  ASSERT_TRUE(std::isnan(s0)) << "row 0 must score NaN";
+  for (Level level : AllLevels()) {
+    if (!env.Force(level)) continue;
+    for (auto [begin, end] : Ranges(n)) {
+      for (int k : {1, 2, 3, 4, 9, n}) {
+        ASSERT_TRUE(TopKMatches(c, begin, end, k))
+            << LevelName(level) << " k=" << k << " range=[" << begin << ","
+            << end << ")";
+      }
+    }
+    // Rows 0..2 score NaN, -inf, +inf: the NaN row reports +inf and
+    // ranks ahead of row 2 by its index.
+    std::pair<double, int> top[3];
+    ASSERT_EQ(SurfaceTopK(c.q.data(), c.soa, c.radii.data(), 0, 3, 3, top),
+              3);
+    EXPECT_EQ(top[0], std::make_pair(-kInf, 1)) << LevelName(level);
+    EXPECT_EQ(top[1], std::make_pair(kInf, 0)) << LevelName(level);
+    EXPECT_EQ(top[2], std::make_pair(kInf, 2)) << LevelName(level);
+  }
+}
+
 // All-NaN / all-inf stress: every row non-finite, so the whole vector
 // path (not just one poisoned lane) exercises IEEE propagation.
 TEST_F(SimdKernelOracleTest, NonFiniteEverywhere) {
@@ -481,6 +606,9 @@ TEST(SimdKernelEdgeTest, EmptyRangeContracts) {
   EXPECT_BIT_EQ(MinSurfaceGap(q, m, nullptr, 0, 0), kInf);
   SquaredDistanceBatch(q, m, 0, 0, nullptr);
   SurfaceScores(q, m, nullptr, 0, 0, nullptr);
+  // An empty range or k <= 0 writes nothing and returns 0.
+  EXPECT_EQ(SurfaceTopK(q, m, nullptr, 0, 0, 3, nullptr), 0);
+  EXPECT_EQ(SurfaceTopK(q, m, nullptr, 0, 0, 0, nullptr), 0);
 }
 
 }  // namespace
