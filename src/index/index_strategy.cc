@@ -24,25 +24,21 @@ constexpr int kRdGbgTreeMinPoints = 4096;
 constexpr int kRdGbgTreeBigPoints = 16384;
 constexpr int kRdGbgTreeMaxThreads = 4;  // for the d<=4 tier only
 // GB-kNN center scan, against the fused SIMD top-k scan (4-core AVX-512
-// VM; the rows sit in the bench_index_dynamic section of the GB-kNN
-// BENCH_*.json at the repo root). Fitted models decide:
-// bench_index_dynamic BM_GbKnnPredict (2 000 queries, GBX_THREADS=2)
-// has the scan ahead of the best tree on every d=10 blob row (1.31–3.9x,
-// 614–15 583 balls) and every d=24 low-intrinsic-dimension row (1.49–
-// 3.1x, 704–13 309 balls), and gbxbench's magic model (7 009 balls,
-// d=10) serves in 15–19 us flat against 130–151 us through the KD-tree
-// (four traced runs). So the old d<=16 KD-tree tier and the
-// structure-gated (16, 32] ball-tree tier are gone. Only the KD-tree at
-// d<=2 survives: on banana models it leads from 2 148 balls (k=1: 1.96
-// ms against the scan's 3.32; k=3: 3.31 against 4.31), while below ~2k
-// balls the two sit within ~1.2x either way (155 balls, k=1: 0.84
-// against 0.71; 601 balls: 1.08 against 1.30; gbxbench banana's 1 150
-// balls: 2.10–2.18 us against 1.93–1.97). BM_CenterSurfaceKnn's
-// synthetic center sets (random radii, not a granulation) put that
-// crossover lower and still show a tree ahead in two off-tier cells
-// (KD-tree at d=8, 16k centers, k=1: 1.48x; ball-tree on structured
-// d=32, 16k centers: 1.1–1.3x); no fitted model reproduces either, so
-// neither keeps a tier.
+// VM, GBX_THREADS=2; the rows sit in BENCH_pr21.json at the repo root).
+// Fitted models decide. bench_index_dynamic's BM_GbKnnPredict (blobs,
+// d=10, k=3, 2 000 queries) has the scan ahead of the best tree by
+// 1.7–3.7x (614–15 583 balls) and BM_GbKnnPredictShapes' rotated
+// low-intrinsic-dimension d=24 rows by 1.5–2.8x (704–13 309 balls,
+// k=1 and 3); gbxbench's magic model (7 009 balls, d=10) predicts in
+// 13 us flat against 110 us through the KD-tree (traced, seed 13). So
+// the old d<=16 KD-tree tier and the structure-gated (16, 32] ball-tree
+// tier are gone. Only the KD-tree at d<=2 survives, from 2 048 balls:
+// on BM_GbKnnPredictShapes' banana models it leads at 2 148 balls and
+// k=1 (2.73 ms against the scan's 4.13) and trails within 1.06x at k=3
+// (5.20 against 4.92). Below that neither leads at every k (601 balls:
+// 1.10 against 1.57 at k=1, 2.59 against 2.24 at k=3; 155 balls: the
+// scan ahead 1.3x at both), and gbxbench banana's 1 150-ball model
+// serves flat within 1.08x of the best tree (traced auto_over_best).
 constexpr int kCenterTreeMaxDims = 2;
 constexpr int kCenterTreeMinBalls = 2048;
 }  // namespace
@@ -89,9 +85,10 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
                                          int num_balls, int dims) {
   if (requested != IndexStrategy::kAuto) return requested;
-  // No worker count: PredictBatch fans out over queries and a single
-  // Predict scans serially under every strategy, so the crossover is
-  // the single-thread one at any GBX_THREADS.
+  // No worker count: PredictBatch fans out over queries, and a single
+  // Predict splits its flat scan over the pool only past 2^18 balls ×
+  // dims (ml/gb_knn.cc), far above this tier's bar at d<=2, so the
+  // crossover is the single-thread one at any GBX_THREADS.
   return dims <= kCenterTreeMaxDims && num_balls >= kCenterTreeMinBalls
              ? IndexStrategy::kTree
              : IndexStrategy::kFlat;

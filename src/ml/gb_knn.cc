@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "common/metrics.h"
@@ -19,6 +21,15 @@ namespace {
 // histogram pointer in a function-local static, so the armed cost is
 // two clock reads and the disarmed cost is one relaxed atomic load.
 using metrics::CorePhaseHistogram;
+
+// One Predict splits its flat scan over the pool from this many
+// multiply-adds (balls × dims): traced gbxbench runs (BENCH_pr21.json,
+// AVX-512, GBX_THREADS=2) put the crossover between two served models.
+// magic (7 009 balls × 10 dims = 70k) scans serially in 13 us, where
+// the parent's split score fill took 44 us; usps (1 911 × 256 = 489k)
+// took 227 us serially in an earlier build of this scan and 115–126 us
+// split (three runs, against the parent's 109–133).
+constexpr std::int64_t kSplitScanMinWork = std::int64_t{1} << 18;
 
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -164,16 +175,47 @@ std::vector<std::pair<double, int>> GbKnnClassifier::NearestBalls(
     for (int i = 0; i < k; ++i) top[i] = {nn[i].distance, nn[i].index};
     return top;
   }
-  // One fused SIMD scan keeps the k best (score, index) pairs in
-  // registers and a k-slot buffer. It runs serially: a pool fan-out
-  // over one query's balls costs more than it saves, and PredictBatch
-  // already fans out over queries.
+  // Flat: SurfaceTopK over the SoA centers. Small models scan serially
+  // — a pool handoff costs more than the scan. Large ones split the
+  // rows into block-aligned chunks of ~ParallelGrain work, claimed one
+  // at a time by the caller and any worker that wakes in time, and
+  // merge the chunks' top-k lists. Either way the result is the exact
+  // (score, index) top-k. Under PredictBatch the outer per-query loop
+  // owns the workers and the chunks run inline (nested parallel
+  // regions serialize).
   GBX_CHECK(flat_centers_ != nullptr);
   const FlatCenters& flat = *flat_centers_;
-  [[maybe_unused]] const int got = simd::SurfaceTopK(
-      q.data(), flat.soa, flat.radii.data(), 0, flat.soa.rows(), k,
-      top.data());
-  GBX_DCHECK(got == k);
+  const int m = flat.soa.rows();
+  const int p = flat.soa.cols();
+  const int threads = ResolveNumThreads(gbg_config_.num_threads);
+  if (threads <= 1 ||
+      static_cast<std::int64_t>(m) * p < kSplitScanMinWork) {
+    [[maybe_unused]] const int got = simd::SurfaceTopK(
+        q.data(), flat.soa, flat.radii.data(), 0, m, k, top.data());
+    GBX_DCHECK(got == k);
+    return top;
+  }
+  const int grain =
+      (ParallelGrain(p) + kSoaBlock - 1) / kSoaBlock * kSoaBlock;
+  const int chunks = (m + grain - 1) / grain;
+  std::vector<std::pair<double, int>> merged(
+      static_cast<std::size_t>(chunks) * k);
+  std::vector<int> got(chunks);
+  ParallelFor(chunks, threads, [&](int c) {
+    const int begin = c * grain;
+    got[c] = simd::SurfaceTopK(q.data(), flat.soa, flat.radii.data(), begin,
+                               std::min(m, begin + grain), k,
+                               merged.data() + static_cast<std::size_t>(c) * k);
+  });
+  // Each chunk's list is its exact top-min(k, rows); the k best of
+  // their union are the k best overall.
+  auto tail = merged.begin();
+  for (int c = 0; c < chunks; ++c) {
+    tail = std::copy_n(merged.begin() + static_cast<std::ptrdiff_t>(c) * k,
+                       got[c], tail);
+  }
+  std::partial_sort(merged.begin(), merged.begin() + k, tail);
+  std::copy_n(merged.begin(), k, top.begin());
   return top;
 }
 

@@ -61,9 +61,10 @@ class GbKnnClassifier : public Classifier {
   int num_balls() const { return balls_.size(); }
   const GranularBallSet& balls() const { return balls_; }
 
-  /// Chooses how Predict scans the ball centers: kFlat is one serial
-  /// fused SIMD top-k pass over the SoA center layout
-  /// (simd::SurfaceTopK), kTree a KD-tree and kBallTree a metric
+  /// Chooses how Predict scans the ball centers: kFlat is a SIMD
+  /// surface-score scan plus top-k selection over the SoA center layout
+  /// (simd::SurfaceTopK; serial, split over the pool only for models
+  /// past ~2^18 balls × dims), kTree a KD-tree and kBallTree a metric
   /// ball-tree over the centers, built once at Fit/Restore and shared by
   /// Predict / PredictBatch / the serving engine; kAuto resolves by ball
   /// count and dimensionality — the KD-tree at d<=2 from ~2k balls, the
@@ -113,7 +114,7 @@ class GbKnnClassifier : public Classifier {
   };
 
   // Flat-scan backend: centers and radii in the SoA blocked layout that
-  // simd::SurfaceTopK streams in one pass per query (src/simd/simd.h),
+  // simd::SurfaceTopK streams once per query (src/simd/simd.h),
   // row i = ball i. shared_ptr for the same copyability/move-stability
   // reasons as CenterIndex.
   struct FlatCenters {

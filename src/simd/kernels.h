@@ -75,8 +75,7 @@ inline double RowSurfaceScore(const double* q, const SoaMatrix& m,
 
 /// The bounded sorted buffer behind every level's SurfaceTopK:
 /// out[0..count) ascending by (score, row), at most k >= 1 entries.
-/// Offer maps a NaN score to +inf (simd.h) and compares whole pairs, so
-/// rows may arrive in any order — lane minima merge after the head rows.
+/// Offer maps a NaN score to +inf (simd.h) and compares whole pairs.
 class TopK {
  public:
   TopK(int k, std::pair<double, int>* out) : k_(k), out_(out) {}
@@ -107,6 +106,12 @@ class TopK {
   std::pair<double, int>* out_;
   int count_ = 0;
 };
+
+/// SurfaceTopK row by row through TopK: the scalar level's kernel, and
+/// the one NEON serves.
+int SurfaceTopKRows(const double* q, const SoaMatrix& centers,
+                    const double* radii, int begin, int end, int k,
+                    std::pair<double, int>* out);
 
 }  // namespace internal
 }  // namespace simd

@@ -135,38 +135,6 @@ int SurfaceTopKAvx2(const double* q, const SoaMatrix& centers,
   }
   alignas(32) double lanes[kSoaBlock];
   __m256d s0, s1;
-  if (k == 1 && i + kSoaBlock <= end) {
-    // Lane-wise argmin, as in kernels_avx512.cc: seeded from the first
-    // block with NaN as +inf, a lane moves only on a strictly smaller
-    // score (ordered < is false on NaN), keeping its earliest row.
-    const __m256d inf =
-        _mm256_set1_pd(std::numeric_limits<double>::infinity());
-    BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
-    __m256d best0 =
-        _mm256_blendv_pd(s0, inf, _mm256_cmp_pd(s0, s0, _CMP_UNORD_Q));
-    __m256d best1 =
-        _mm256_blendv_pd(s1, inf, _mm256_cmp_pd(s1, s1, _CMP_UNORD_Q));
-    __m256d from0 = _mm256_set1_pd(i);
-    __m256d from1 = from0;
-    for (i += kSoaBlock; i + kSoaBlock <= end; i += kSoaBlock) {
-      BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
-      const __m256d at = _mm256_set1_pd(i);
-      const __m256d lt0 = _mm256_cmp_pd(s0, best0, _CMP_LT_OQ);
-      const __m256d lt1 = _mm256_cmp_pd(s1, best1, _CMP_LT_OQ);
-      best0 = _mm256_blendv_pd(best0, s0, lt0);
-      best1 = _mm256_blendv_pd(best1, s1, lt1);
-      from0 = _mm256_blendv_pd(from0, at, lt0);
-      from1 = _mm256_blendv_pd(from1, at, lt1);
-    }
-    alignas(32) double rows[kSoaBlock];
-    _mm256_store_pd(lanes, best0);
-    _mm256_store_pd(lanes + 4, best1);
-    _mm256_store_pd(rows, from0);
-    _mm256_store_pd(rows + 4, from1);
-    for (int l = 0; l < kSoaBlock; ++l) {
-      top.Offer(lanes[l], static_cast<int>(rows[l]) + l);
-    }
-  }
   for (; i + kSoaBlock <= end; i += kSoaBlock) {
     BlockSurfaceScore(q, centers, radii, i, &s0, &s1);
     int below = 0xFF;

@@ -107,29 +107,6 @@ int SurfaceTopKAvx512(const double* q, const SoaMatrix& centers,
     top.Offer(RowSurfaceScore(q, centers, radii, i), i);
   }
   alignas(64) double lanes[kSoaBlock];
-  if (k == 1 && i + kSoaBlock <= end) {
-    // Lane-wise argmin: lane l keeps the best score of rows i + l and
-    // the block it came from. Seeded from the first block (NaN as
-    // +inf), it moves only on a strictly smaller score, so each lane
-    // keeps its earliest row on ties; ordered < is false on NaN.
-    __m512d s = BlockSurfaceScore(q, centers, radii, i);
-    __m512d best = _mm512_mask_mov_pd(
-        s, _mm512_cmp_pd_mask(s, s, _CMP_UNORD_Q),
-        _mm512_set1_pd(std::numeric_limits<double>::infinity()));
-    __m512d from = _mm512_set1_pd(i);
-    for (i += kSoaBlock; i + kSoaBlock <= end; i += kSoaBlock) {
-      s = BlockSurfaceScore(q, centers, radii, i);
-      const __mmask8 lt = _mm512_cmp_pd_mask(s, best, _CMP_LT_OQ);
-      best = _mm512_mask_mov_pd(best, lt, s);
-      from = _mm512_mask_mov_pd(from, lt, _mm512_set1_pd(i));
-    }
-    alignas(64) double rows[kSoaBlock];
-    _mm512_store_pd(lanes, best);
-    _mm512_store_pd(rows, from);
-    for (int l = 0; l < kSoaBlock; ++l) {
-      top.Offer(lanes[l], static_cast<int>(rows[l]) + l);
-    }
-  }
   for (; i + kSoaBlock <= end; i += kSoaBlock) {
     const __m512d s = BlockSurfaceScore(q, centers, radii, i);
     const __mmask8 below =

@@ -87,91 +87,35 @@ double MinSurfaceGapNeon(const double* q, const SoaMatrix& centers,
   return best;
 }
 
-// The GB-kNN surface scores of the full block at row i (i % 8 == 0):
-// dist <= r ? dist - r : dist; vcleq is false on NaN.
-inline void BlockSurfaceScore(const double* q, const SoaMatrix& centers,
-                              const double* radii, int i, float64x2_t s[4]) {
-  float64x2_t acc[4];
-  BlockSquaredDistance(q, BlockBase(centers, i), centers.cols(), acc);
-  for (int v = 0; v < 4; ++v) {
-    const float64x2_t dist = vsqrtq_f64(acc[v]);
-    const float64x2_t r = vld1q_f64(radii + i + 2 * v);
-    s[v] = vbslq_f64(vcleq_f64(dist, r), vsubq_f64(dist, r), dist);
-  }
-}
-
 void SurfaceScoresNeon(const double* q, const SoaMatrix& centers,
                        const double* radii, int begin, int end, double* out) {
+  const int d = centers.cols();
   int i = begin;
   for (; i < end && i % kSoaBlock != 0; ++i) {
     out[i] = RowSurfaceScore(q, centers, radii, i);
   }
   for (; i + kSoaBlock <= end; i += kSoaBlock) {
-    float64x2_t s[4];
-    BlockSurfaceScore(q, centers, radii, i, s);
-    for (int v = 0; v < 4; ++v) vst1q_f64(out + i + 2 * v, s[v]);
+    float64x2_t acc[4];
+    BlockSquaredDistance(q, BlockBase(centers, i), d, acc);
+    for (int v = 0; v < 4; ++v) {
+      const float64x2_t dist = vsqrtq_f64(acc[v]);
+      const float64x2_t r = vld1q_f64(radii + i + 2 * v);
+      // dist <= r ? dist - r : dist; vcleq is false on NaN.
+      const float64x2_t score =
+          vbslq_f64(vcleq_f64(dist, r), vsubq_f64(dist, r), dist);
+      vst1q_f64(out + i + 2 * v, score);
+    }
   }
   for (; i < end; ++i) out[i] = RowSurfaceScore(q, centers, radii, i);
-}
-
-int SurfaceTopKNeon(const double* q, const SoaMatrix& centers,
-                    const double* radii, int begin, int end, int k,
-                    std::pair<double, int>* out) {
-  TopK top(k, out);
-  int i = begin;
-  for (; i < end && i % kSoaBlock != 0; ++i) {
-    top.Offer(RowSurfaceScore(q, centers, radii, i), i);
-  }
-  double lanes[kSoaBlock];
-  float64x2_t s[4];
-  if (k == 1 && i + kSoaBlock <= end) {
-    // Lane-wise argmin, as in kernels_avx512.cc: seeded from the first
-    // block with NaN as +inf, a lane moves only on a strictly smaller
-    // score (vcltq is false on NaN), keeping its earliest row.
-    const float64x2_t inf =
-        vdupq_n_f64(std::numeric_limits<double>::infinity());
-    float64x2_t best[4];
-    float64x2_t from[4];
-    BlockSurfaceScore(q, centers, radii, i, s);
-    for (int v = 0; v < 4; ++v) {
-      best[v] = vbslq_f64(vceqq_f64(s[v], s[v]), s[v], inf);
-      from[v] = vdupq_n_f64(i);
-    }
-    for (i += kSoaBlock; i + kSoaBlock <= end; i += kSoaBlock) {
-      BlockSurfaceScore(q, centers, radii, i, s);
-      const float64x2_t at = vdupq_n_f64(i);
-      for (int v = 0; v < 4; ++v) {
-        const uint64x2_t lt = vcltq_f64(s[v], best[v]);
-        best[v] = vbslq_f64(lt, s[v], best[v]);
-        from[v] = vbslq_f64(lt, at, from[v]);
-      }
-    }
-    double rows[kSoaBlock];
-    for (int v = 0; v < 4; ++v) {
-      vst1q_f64(lanes + 2 * v, best[v]);
-      vst1q_f64(rows + 2 * v, from[v]);
-    }
-    for (int l = 0; l < kSoaBlock; ++l) {
-      top.Offer(lanes[l], static_cast<int>(rows[l]) + l);
-    }
-  }
-  // Larger k: two-lane vectors leave little to filter, so every row of
-  // the block goes to the bounded insert, which rejects it at the first
-  // compare unless it beats the current k-th score.
-  for (; i + kSoaBlock <= end; i += kSoaBlock) {
-    BlockSurfaceScore(q, centers, radii, i, s);
-    for (int v = 0; v < 4; ++v) vst1q_f64(lanes + 2 * v, s[v]);
-    for (int l = 0; l < kSoaBlock; ++l) top.Offer(lanes[l], i + l);
-  }
-  for (; i < end; ++i) top.Offer(RowSurfaceScore(q, centers, radii, i), i);
-  return top.count();
 }
 
 const Ops kNeonOps = {
     SquaredDistanceBatchNeon,
     MinSurfaceGapNeon,
     SurfaceScoresNeon,
-    SurfaceTopKNeon,
+    // No aarch64 build has run the top-k oracle yet, so NEON selects
+    // through the scalar row loop.
+    SurfaceTopKRows,
 };
 
 }  // namespace

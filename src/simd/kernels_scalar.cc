@@ -38,26 +38,26 @@ void SurfaceScoresScalar(const double* q, const SoaMatrix& centers,
   }
 }
 
-int SurfaceTopKScalar(const double* q, const SoaMatrix& centers,
-                      const double* radii, int begin, int end, int k,
-                      std::pair<double, int>* out) {
+const Ops kScalarOps = {
+    SquaredDistanceBatchScalar,
+    MinSurfaceGapScalar,
+    SurfaceScoresScalar,
+    SurfaceTopKRows,
+};
+
+}  // namespace
+
+const Ops* ScalarOps() { return &kScalarOps; }
+
+int SurfaceTopKRows(const double* q, const SoaMatrix& centers,
+                    const double* radii, int begin, int end, int k,
+                    std::pair<double, int>* out) {
   TopK top(k, out);
   for (int i = begin; i < end; ++i) {
     top.Offer(RowSurfaceScore(q, centers, radii, i), i);
   }
   return top.count();
 }
-
-const Ops kScalarOps = {
-    SquaredDistanceBatchScalar,
-    MinSurfaceGapScalar,
-    SurfaceScoresScalar,
-    SurfaceTopKScalar,
-};
-
-}  // namespace
-
-const Ops* ScalarOps() { return &kScalarOps; }
 
 }  // namespace internal
 }  // namespace simd

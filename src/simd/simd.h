@@ -107,10 +107,10 @@ void SurfaceScores(const double* q, const SoaMatrix& centers,
 /// written. A NaN score ranks and reports as +infinity, so NaN rows
 /// come after every finite score and tie with +inf rows by row index.
 /// On non-NaN scores the result is bit-identical to partial_sort over
-/// the (SurfaceScores value, row) pairs. k = 1 is a lane-wise argmin;
-/// larger k filters whole blocks against the current k-th score and
-/// inserts only the rows below it. `out` needs min(k, end - begin)
-/// slots; nothing m-sized is allocated.
+/// the (SurfaceScores value, row) pairs. The AVX2 and AVX-512 levels
+/// filter each scored block against the current k-th score and insert
+/// only the rows below it; scalar and NEON insert row by row. `out`
+/// needs min(k, end - begin) slots; nothing m-sized is allocated.
 int SurfaceTopK(const double* q, const SoaMatrix& centers, const double* radii,
                 int begin, int end, int k, std::pair<double, int>* out);
 

@@ -114,7 +114,7 @@ TEST(GbKnnTest, TrainAccuracyHighOnCleanData) {
 // queries; ball i carries label i % 3.
 GbKnnClassifier HandModel(const Matrix& centers,
                           const std::vector<double>& radii,
-                          IndexStrategy strategy) {
+                          IndexStrategy strategy, int num_threads) {
   const int m = centers.rows();
   const int d = centers.cols();
   std::vector<GranularBall> balls(m);
@@ -129,6 +129,7 @@ GbKnnClassifier HandModel(const Matrix& centers,
   scaler.Restore(std::vector<double>(d, 0.0), std::vector<double>(d, 1.0));
   RdGbgConfig cfg;
   cfg.index_strategy = strategy;
+  cfg.num_threads = num_threads;
   GbKnnClassifier model(cfg, /*k=*/1);
   model.Restore(GranularBallSet(std::move(balls), centers, 3),
                 std::move(scaler), 3);
@@ -161,7 +162,9 @@ bool SameBits(double a, double b) {
 // `period` > 0 makes ball i a copy of ball i % period, center and
 // radius, so exact ties land in one SIMD lane across blocks (period 8)
 // and across lanes (periods 2 and 3); each must go to the lower index.
-void CheckTopKBattery(int m, int d, int period, std::uint64_t seed) {
+// `num_threads` is the models' worker count (0: the process default).
+void CheckTopKBattery(int m, int d, int period, std::uint64_t seed,
+                      int num_threads = 0) {
   Pcg32 rng(seed);
   Matrix centers(m, d);
   std::vector<double> radii(m);
@@ -189,10 +192,12 @@ void CheckTopKBattery(int m, int d, int period, std::uint64_t seed) {
     q[0] += radii[b] * 0.5;
     queries.push_back(q);
   }
-  const GbKnnClassifier flat = HandModel(centers, radii, IndexStrategy::kFlat);
-  const GbKnnClassifier tree = HandModel(centers, radii, IndexStrategy::kTree);
+  const GbKnnClassifier flat =
+      HandModel(centers, radii, IndexStrategy::kFlat, num_threads);
+  const GbKnnClassifier tree =
+      HandModel(centers, radii, IndexStrategy::kTree, num_threads);
   const GbKnnClassifier ball =
-      HandModel(centers, radii, IndexStrategy::kBallTree);
+      HandModel(centers, radii, IndexStrategy::kBallTree, num_threads);
   ASSERT_EQ(tree.resolved_index_strategy(), IndexStrategy::kTree);
   ASSERT_EQ(ball.resolved_index_strategy(), IndexStrategy::kBallTree);
   for (simd::Level level : {simd::Level::kScalar, simd::Level::kNeon,
@@ -235,6 +240,18 @@ TEST(GbKnnTopKTest, DuplicatedCentersTieToLowerIndex) {
   for (int m : {9, 1003}) {
     for (int period : {2, 3, 8}) {
       CheckTopKBattery(m, 4, period, 2000 + m + period);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// Past 2^18 balls × dims one Predict splits the flat scan into chunks
+// over the pool and merges the chunks' lists; at d = 256 a thousand-odd
+// balls get there. Ties (period 3) then span chunk boundaries.
+TEST(GbKnnTopKTest, SplitFlatScanMatchesOracle) {
+  for (int period : {0, 3}) {
+    for (int threads : {2, 3}) {
+      CheckTopKBattery(1103, 256, period, 3000 + period + threads, threads);
       if (HasFatalFailure()) return;
     }
   }

@@ -374,8 +374,8 @@ TEST_F(SimdKernelOracleTest, SurfaceScoresBitExact) {
 
 // The fused top-k oracle: partial_sort over (score, row) pairs with the
 // documented NaN rule (a NaN score ranks and reports as +inf). k walks
-// the argmin path (1), the thresholded insert path, one full block, a
-// block plus one, every row and past every row.
+// one slot, a few, one full block, a block plus one, every row and past
+// every row.
 std::vector<std::pair<double, int>> RefTopK(const Case& c, int begin, int end,
                                             int k) {
   std::vector<std::pair<double, int>> pairs;
