@@ -1,10 +1,16 @@
 #include "ml/knn.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
+#include "data/paper_suite.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "ml/metrics.h"
+#include "output_fingerprint.h"
+#include "thread_counts.h"
 
 namespace gbx {
 namespace {
@@ -76,6 +82,79 @@ TEST(KnnTest, KLargerThanTrainingSet) {
 }
 
 TEST(KnnTest, DefaultKIsFive) { EXPECT_EQ(KnnClassifier().k(), 5); }
+
+// One fitted model answers Predict from several pool threads at once, as
+// the serving engine's workers call it: every answer equals the serial
+// one. d = 2 and d = 8 sit on the two sides of the exact k-nearest
+// index's tree/flat cutoff.
+TEST(KnnTest, ConcurrentPredictMatchesSerial) {
+  for (const int d : {2, 8}) {
+    BlobsConfig cfg;
+    cfg.num_samples = 1500;
+    cfg.num_classes = 3;
+    cfg.num_features = d;
+    cfg.cluster_std = 2.0;
+    Pcg32 gen(50 + d);
+    const Dataset ds = MakeGaussianBlobs(cfg, &gen);
+    KnnClassifier knn(5);
+    Pcg32 rng(9);
+    knn.Fit(ds, &rng);
+    Pcg32 qgen(60 + d);
+    const Dataset queries = MakeGaussianBlobs(cfg, &qgen);
+    const std::vector<int> serial = knn.PredictBatch(queries.x());
+    for (const int threads : ThreadCountsUnderTest()) {
+      SCOPED_TRACE("d=" + std::to_string(d) +
+                   " threads=" + std::to_string(threads));
+      std::vector<int> parallel(queries.size(), -1);
+      ParallelFor(queries.size(), threads, [&](int i) {
+        parallel[i] = knn.Predict(queries.x().Row(i));
+      });
+      EXPECT_EQ(parallel, serial);
+    }
+  }
+}
+
+// kNN (k = 5) predictions pinned over paper-suite stand-ins, row-capped:
+// S1, S5 (d = 2), S6 and S13 (d = 256). The held-out rows are predicted
+// against a 70 % training split; the training rows themselves are
+// predicted too, so every query also meets its own exact duplicate.
+struct PinnedKnnCase {
+  const char* id;
+  int rows;
+  std::uint64_t held_out;
+  std::uint64_t train;
+};
+
+class KnnPinnedTest : public ::testing::TestWithParam<PinnedKnnCase> {};
+
+TEST_P(KnnPinnedTest, PredictionsMatchFingerprints) {
+  const PinnedKnnCase& c = GetParam();
+  const Dataset all = MakePaperDataset(c.id, c.rows, 41);
+  Pcg32 split_rng(42);
+  const TrainTestSplitResult split = TrainTestSplit(all, 0.3, &split_rng);
+  KnnClassifier knn(5);
+  Pcg32 rng(43);
+  knn.Fit(split.train, &rng);
+  const std::uint64_t held_out = Fingerprint(knn.PredictBatch(split.test.x()));
+  EXPECT_EQ(held_out, c.held_out) << std::hex << "0x" << held_out;
+  const std::uint64_t train = Fingerprint(knn.PredictBatch(split.train.x()));
+  EXPECT_EQ(train, c.train) << std::hex << "0x" << train;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSuite, KnnPinnedTest,
+    ::testing::Values(
+        PinnedKnnCase{"S1", 690, 0x37caa3793417bc8aULL,
+                      0x29f4ab0f6fc940e7ULL},
+        PinnedKnnCase{"S5", 1200, 0x8fa3bc7ebdcb5f1cULL,
+                      0xa0071907ef9b293dULL},
+        PinnedKnnCase{"S6", 1200, 0x37f5b29c1def156cULL,
+                      0x858f0b78a9e1cb2dULL},
+        PinnedKnnCase{"S13", 500, 0x54a64b29c6b5ab90ULL,
+                      0x5b7b4936e8ef6729ULL}),
+    [](const ::testing::TestParamInfo<PinnedKnnCase>& info) {
+      return std::string(info.param.id);
+    });
 
 }  // namespace
 }  // namespace gbx

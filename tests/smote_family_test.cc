@@ -1,9 +1,12 @@
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "data/paper_suite.h"
 #include "data/synthetic.h"
+#include "output_fingerprint.h"
 #include "sampling/borderline_smote.h"
 #include "sampling/smote.h"
 #include "sampling/smotenc.h"
@@ -199,6 +202,47 @@ TEST(SmoteFamilyDeterminismTest, SameRngSameOutput) {
     EXPECT_DOUBLE_EQ(out_a.feature(i, 0), out_b.feature(i, 0));
   }
 }
+
+// SMOTE and Borderline-SMOTE outputs pinned over paper-suite stand-ins,
+// row-capped: S1, S5 (d = 2), S6 (five classes, IR 175) and S13
+// (d = 256). The fingerprints cover every RNG draw and every neighbor
+// choice, so they hold across any change of nearest-neighbor structure.
+struct PinnedSamplerCase {
+  const char* id;
+  int rows;
+  std::uint64_t smote;
+  std::uint64_t borderline_smote;
+};
+
+class SmoteFamilyPinnedTest
+    : public ::testing::TestWithParam<PinnedSamplerCase> {};
+
+TEST_P(SmoteFamilyPinnedTest, OutputsMatchFingerprints) {
+  const PinnedSamplerCase& c = GetParam();
+  const Dataset ds = MakePaperDataset(c.id, c.rows, 21);
+  Pcg32 rng_sm(22);
+  const std::uint64_t smote = Fingerprint(SmoteSampler().Sample(ds, &rng_sm));
+  EXPECT_EQ(smote, c.smote) << std::hex << "0x" << smote;
+  Pcg32 rng_bsm(23);
+  const std::uint64_t bsm =
+      Fingerprint(BorderlineSmoteSampler().Sample(ds, &rng_bsm));
+  EXPECT_EQ(bsm, c.borderline_smote) << std::hex << "0x" << bsm;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSuite, SmoteFamilyPinnedTest,
+    ::testing::Values(
+        PinnedSamplerCase{"S1", 690, 0xb216c88757365b4bULL,
+                          0x7cdbc7d0611e65e7ULL},
+        PinnedSamplerCase{"S5", 1200, 0xe551a50121bd0e01ULL,
+                          0x32b003e6b653a7bcULL},
+        PinnedSamplerCase{"S6", 1200, 0x1e48f12b193401c3ULL,
+                          0x03dbd4660a058b96ULL},
+        PinnedSamplerCase{"S13", 500, 0x1c433cf859702a57ULL,
+                          0x65b10a34978c76c4ULL}),
+    [](const ::testing::TestParamInfo<PinnedSamplerCase>& info) {
+      return std::string(info.param.id);
+    });
 
 }  // namespace
 }  // namespace gbx

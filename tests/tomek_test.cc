@@ -1,8 +1,12 @@
 #include "sampling/tomek.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "data/paper_suite.h"
 #include "data/synthetic.h"
+#include "output_fingerprint.h"
 
 namespace gbx {
 namespace {
@@ -96,6 +100,45 @@ TEST(TomekTest, TinyDatasets) {
   Pcg32 rng(5);
   EXPECT_EQ(tomek.Sample(one, &rng).size(), 1);
 }
+
+// Tomek-link cleaning pinned under both policies over paper-suite
+// stand-ins, row-capped: S1, S5 (d = 2), S6 and S13 (d = 256).
+struct PinnedTomekCase {
+  const char* id;
+  int rows;
+  std::uint64_t majority_only;
+  std::uint64_t remove_both;
+};
+
+class TomekPinnedTest : public ::testing::TestWithParam<PinnedTomekCase> {};
+
+TEST_P(TomekPinnedTest, OutputsMatchFingerprints) {
+  const PinnedTomekCase& c = GetParam();
+  const Dataset ds = MakePaperDataset(c.id, c.rows, 31);
+  Pcg32 rng(32);
+  const std::uint64_t majority_only =
+      Fingerprint(TomekLinksSampler().Sample(ds, &rng));
+  EXPECT_EQ(majority_only, c.majority_only) << std::hex << "0x"
+                                            << majority_only;
+  const std::uint64_t remove_both =
+      Fingerprint(TomekLinksSampler(/*remove_both=*/true).Sample(ds, &rng));
+  EXPECT_EQ(remove_both, c.remove_both) << std::hex << "0x" << remove_both;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperSuite, TomekPinnedTest,
+    ::testing::Values(
+        PinnedTomekCase{"S1", 690, 0xd6956e7a2b85eca4ULL,
+                        0x7f660d0381bc2827ULL},
+        PinnedTomekCase{"S5", 1200, 0x5d9105ac77029212ULL,
+                        0x796c99230c73f5dcULL},
+        PinnedTomekCase{"S6", 1200, 0x044b89be36171a0fULL,
+                        0x044b89be36171a0fULL},
+        PinnedTomekCase{"S13", 500, 0xaed503b6cb984b62ULL,
+                        0xaacbbb4b12e64d94ULL}),
+    [](const ::testing::TestParamInfo<PinnedTomekCase>& info) {
+      return std::string(info.param.id);
+    });
 
 }  // namespace
 }  // namespace gbx
