@@ -3,13 +3,16 @@
 // purity-GBG baseline, neighbor search, and classifier training costs.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/gbabs.h"
 #include "core/rd_gbg.h"
+#include "data/paper_suite.h"
+#include "data/split.h"
 #include "data/synthetic.h"
-#include "index/brute_force.h"
-#include "index/kd_tree.h"
+#include "index/knn_index.h"
 #include "ml/decision_tree.h"
 #include "ml/lgbm.h"
 #include "ml/xgb.h"
@@ -61,36 +64,102 @@ void BM_PurityGbg(benchmark::State& state) {
 }
 BENCHMARK(BM_PurityGbg)->RangeMultiplier(2)->Range(1000, 8000);
 
-void BM_KdTreeBuild(benchmark::State& state) {
-  const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
+// KnnIndex, the static callers' exact k-nearest primitive: build and
+// k = 5 query rows over Gaussian blobs, n × d. Its cutoff
+// (ResolveKnnIndexStrategy) puts d <= 2 on the DynamicKdTree and d >= 3
+// on the flat scan; the forced arms time the other structure on each
+// side of it: the flat scan at d = 2, the tree at d = 3 and 8. On three
+// well-separated blobs the tree also leads at d = 3 and 8; the cutoff
+// follows BM_KnnIndexPaperSuite below, the data the callers see.
+Dataset KnnBenchPoints(const benchmark::State& state) {
+  return BenchBlobs(static_cast<int>(state.range(0)), 3,
+                    static_cast<int>(state.range(1)));
+}
+
+void BM_KnnIndexBuild(benchmark::State& state) {
+  const Dataset ds = KnnBenchPoints(state);
   for (auto _ : state) {
-    KdTree tree(&ds.x());
-    benchmark::DoNotOptimize(tree.size());
+    KnnIndex index(&ds.x());
+    benchmark::DoNotOptimize(index);
   }
 }
-BENCHMARK(BM_KdTreeBuild)->Range(1000, 16000);
+BENCHMARK(BM_KnnIndexBuild)->ArgsProduct({{1000, 4000, 16000}, {2, 8}});
 
-void BM_KdTreeKnnQuery(benchmark::State& state) {
-  const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
-  KdTree tree(&ds.x());
+void BM_KnnIndexQuery(benchmark::State& state) {
+  const Dataset ds = KnnBenchPoints(state);
+  const KnnIndex index(&ds.x());
   int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.KNearest(ds.row(i), 5));
+    benchmark::DoNotOptimize(index.KNearestSquared(ds.row(i), 5));
     i = (i + 1) % ds.size();
   }
 }
-BENCHMARK(BM_KdTreeKnnQuery)->Range(1000, 16000);
+BENCHMARK(BM_KnnIndexQuery)->ArgsProduct({{1000, 4000, 16000}, {2, 3, 8}});
 
-void BM_BruteForceKnnQuery(benchmark::State& state) {
-  const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));
-  BruteForceIndex index(&ds.x());
+// KnnIndex's query above its cutoff, on any dimensionality.
+void FlatKNearest(const double* query, const SoaMatrix& rows, int k,
+                  std::vector<double>* dist,
+                  std::vector<SquaredNeighbor>* heap) {
+  ScanKNearest(
+      query, rows, 0, rows.rows(), k, [](int) { return true; }, dist->data(),
+      heap);
+  std::sort_heap(heap->begin(), heap->end());
+  benchmark::DoNotOptimize(heap->data());
+}
+
+void BM_KnnIndexForcedFlatQuery(benchmark::State& state) {
+  const Dataset ds = KnnBenchPoints(state);
+  const SoaMatrix rows = SoaMatrix::FromMatrix(ds.x());
+  std::vector<double> dist(ds.size());
+  std::vector<SquaredNeighbor> heap;
   int i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.KNearest(ds.row(i), 5));
+    FlatKNearest(ds.row(i), rows, 5, &dist, &heap);
     i = (i + 1) % ds.size();
   }
 }
-BENCHMARK(BM_BruteForceKnnQuery)->Range(1000, 16000);
+BENCHMARK(BM_KnnIndexForcedFlatQuery)
+    ->ArgsProduct({{1000, 4000, 16000}, {2}});
+
+void BM_KnnIndexForcedTreeQuery(benchmark::State& state) {
+  const Dataset ds = KnnBenchPoints(state);
+  const DynamicKdTree tree(&ds.x());
+  int i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tree.KNearestSquared(ds.row(i), 5));
+    i = (i + 1) % ds.size();
+  }
+}
+BENCHMARK(BM_KnnIndexForcedTreeQuery)
+    ->ArgsProduct({{1000, 4000, 16000}, {3, 8}});
+
+// The same two structures on the data KnnIndex's callers see: the 13
+// paper-suite stand-ins (MakePaperDataset, capped at 4 000 rows, 70 %
+// training split), k = 5 queries at the held-out rows. arg 0 is the
+// dataset (0 = S1), arg 1 the structure (0 flat scan, 1 DynamicKdTree).
+void BM_KnnIndexPaperSuite(benchmark::State& state) {
+  const Dataset all =
+      MakePaperDataset(static_cast<int>(state.range(0)), 4000, 7);
+  Pcg32 rng(8);
+  const TrainTestSplitResult split = TrainTestSplit(all, 0.3, &rng);
+  const Matrix& x = split.train.x();
+  const Matrix& queries = split.test.x();
+  const SoaMatrix rows = SoaMatrix::FromMatrix(x);
+  const DynamicKdTree tree(&x);
+  std::vector<double> dist(x.rows());
+  std::vector<SquaredNeighbor> heap;
+  int i = 0;
+  for (auto _ : state) {
+    if (state.range(1) == 0) {
+      FlatKNearest(queries.Row(i), rows, 5, &dist, &heap);
+    } else {
+      benchmark::DoNotOptimize(tree.KNearestSquared(queries.Row(i), 5));
+    }
+    i = (i + 1) % queries.rows();
+  }
+}
+BENCHMARK(BM_KnnIndexPaperSuite)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 12, 1), {0, 1}});
 
 void BM_DecisionTreeFit(benchmark::State& state) {
   const Dataset ds = BenchBlobs(static_cast<int>(state.range(0)));

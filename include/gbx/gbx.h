@@ -41,14 +41,14 @@
 #include "data/validate.h"      // IWYU pragma: export
 
 // index/ — exact nearest-neighbor search behind every distance-based
-// component: brute-force scan, static KD-tree, the deletion-capable
-// dynamic trees (DynamicKdTree and BallTree, one tombstoned tree over a
-// box or a covering-ball node bound), the shared Neighbor result types,
-// and the flat/tree/balltree strategy knob.
-#include "index/brute_force.h"     // IWYU pragma: export
+// component: KnnIndex (the static k-nearest primitive: a KD-tree at
+// d <= 2, the SIMD flat scan above, sharing its scan loop with RD-GBG),
+// the deletion-capable dynamic trees (DynamicKdTree and BallTree, one
+// tombstoned tree over a box or a covering-ball node bound), the shared
+// Neighbor result types, and the flat/tree/balltree strategy knob.
 #include "index/dynamic_kd_tree.h" // IWYU pragma: export
 #include "index/index_strategy.h"  // IWYU pragma: export
-#include "index/kd_tree.h"         // IWYU pragma: export
+#include "index/knn_index.h"       // IWYU pragma: export
 
 // simd/ — batched flat-scan distance kernels behind runtime dispatch
 // (GBX_SIMD: scalar|neon|avx2|avx512|auto); bit-exact across levels.

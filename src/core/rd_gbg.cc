@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "data/scaler.h"
 #include "index/dynamic_kd_tree.h"
+#include "index/knn_index.h"
 #include "index/neighbor_index.h"
 #include "simd/simd.h"
 
@@ -189,6 +190,9 @@ class ResidentU {
       if (live_[s]) slot_sample_[kept++] = slot_sample_[s];
     }
     slot_sample_.resize(kept);
+    // ScanTopK ranks slots in place of samples, which needs slot order to
+    // stay sample order.
+    GBX_DCHECK(std::is_sorted(slot_sample_.begin(), slot_sample_.end()));
     for (int s = 0; s < kept; ++s) sample_slot_[slot_sample_[s]] = s;
     live_.assign(kept, 1);
     rows_.GatherRows(*x_, slot_sample_.data(), kept);
@@ -198,13 +202,15 @@ class ResidentU {
   /// buffer, fused with the selection of the k smallest (dist2, index)
   /// entries among the live samples other than `exclude`, which land in
   /// `top` ascending. The slots split into `workers` contiguous ranges,
-  /// each with its own bounded max-heap; a row reaches its heap only if
-  /// it beats the heap's current worst. Because the order is strict and
-  /// total, the merged top-k is the same for every split.
+  /// each scanned by ScanKNearest into its own bounded max-heap. Because
+  /// the order is strict and total, the merged top-k is the same for
+  /// every split; it ranks slots, and slot order is sample order, so
+  /// mapping slots to samples afterwards keeps the (dist2, sample) order.
   void ScanTopK(const double* q, int exclude, int k, int workers,
                 std::vector<DistEntry>* top) {
     const int slots = rows_.rows();
     const int exclude_slot = sample_slot_[exclude];
+    const auto eligible = [&](int s) { return live_[s] && s != exclude_slot; };
     heaps_.resize(workers);
     ParallelForRange(workers, 1, workers, [&](int wbegin, int wend) {
       for (int w = wbegin; w < wend; ++w) {
@@ -212,7 +218,7 @@ class ResidentU {
             static_cast<std::int64_t>(slots) * w / workers);
         const int hi = static_cast<int>(
             static_cast<std::int64_t>(slots) * (w + 1) / workers);
-        ScanRange(q, lo, hi, exclude_slot, k, &heaps_[w]);
+        ScanKNearest(q, rows_, lo, hi, k, eligible, dist_.data(), &heaps_[w]);
       }
     });
     top->clear();
@@ -221,6 +227,7 @@ class ResidentU {
     }
     std::sort(top->begin(), top->end());
     if (static_cast<int>(top->size()) > k) top->resize(k);
+    for (DistEntry& entry : *top) entry.index = slot_sample_[entry.index];
   }
 
   /// After ScanTopK: every live entry but `exclude`'s, read from the
@@ -237,26 +244,6 @@ class ResidentU {
   }
 
  private:
-  // Kernel blocks stay L1-resident between the fill and the heap pass.
-  static constexpr int kScanBlock = 256;
-
-  void ScanRange(const double* q, int lo, int hi, int exclude_slot, int k,
-                 std::vector<DistEntry>* heap) {
-    heap->clear();
-    double* d = dist_.data();
-    double worst = std::numeric_limits<double>::infinity();
-    for (int b = lo; b < hi; b += kScanBlock) {
-      const int e = std::min(hi, b + kScanBlock);
-      simd::SquaredDistanceBatch(q, rows_, b, e, d);
-      for (int s = b; s < e; ++s) {
-        // A tie with the worst entry still competes on the index.
-        if (d[s] > worst || !live_[s] || s == exclude_slot) continue;
-        OfferToBoundedHeap(heap, DistEntry{d[s], slot_sample_[s]}, k);
-        if (static_cast<int>(heap->size()) == k) worst = heap->front().dist2;
-      }
-    }
-  }
-
   const Matrix* x_;
   SoaMatrix rows_;                 // slot s holds sample slot_sample_[s]
   std::vector<int> slot_sample_;

@@ -187,6 +187,7 @@ void TombstonedTree<Bound>::ForLiveChildrenLowerFirst(
 }
 
 template <typename Bound>
+template <bool kNoTombstones>
 void TombstonedTree<Bound>::SearchKnnSquared(
     int node_id, const double* query, int k, int exclude,
     std::vector<SquaredNeighbor>* heap) const {
@@ -195,7 +196,7 @@ void TombstonedTree<Bound>::SearchKnnSquared(
   if (node.split_dim < 0) {
     for (int i = node.begin; i < node.end; ++i) {
       const int idx = order_[i];
-      if (!alive_[idx] || idx == exclude) continue;
+      if ((!kNoTombstones && !alive_[idx]) || idx == exclude) continue;
       const SquaredNeighbor cand{SquaredDistance(query, points_->Row(idx), d),
                                  idx};
       OfferToBoundedHeap(heap, cand, k);
@@ -210,12 +211,27 @@ void TombstonedTree<Bound>::SearchKnnSquared(
     const double diff = query[node.split_dim] - node.split_value;
     const int near = diff <= 0.0 ? node.left : node.right;
     const int far = diff <= 0.0 ? node.right : node.left;
-    for (const int child : {near, far}) {
-      if (nodes_[child].live == 0) continue;
-      if (full() && bound_.MinDist2(child, query, d) > heap->front().dist2) {
-        continue;
+    // diff² is one term of the far child's box bound (see the header), at
+    // one multiply.
+    const auto plane_prunes_far = [&] {
+      return full() && diff * diff > heap->front().dist2;
+    };
+    if constexpr (kNoTombstones) {
+      // Every node is live: the classic KD-tree walk, which at low d
+      // costs less than the box tests it skips (BENCH_pr22.json).
+      SearchKnnSquared<true>(near, query, k, exclude, heap);
+      if (!plane_prunes_far()) {
+        SearchKnnSquared<true>(far, query, k, exclude, heap);
       }
-      SearchKnnSquared(child, query, k, exclude, heap);
+      return;
+    }
+    if (nodes_[near].live != 0 &&
+        !(full() && bound_.MinDist2(near, query, d) > heap->front().dist2)) {
+      SearchKnnSquared<false>(near, query, k, exclude, heap);
+    }
+    if (nodes_[far].live != 0 && !plane_prunes_far() &&
+        !(full() && bound_.MinDist2(far, query, d) > heap->front().dist2)) {
+      SearchKnnSquared<false>(far, query, k, exclude, heap);
     }
   } else {
     ForLiveChildrenLowerFirst(
@@ -225,7 +241,7 @@ void TombstonedTree<Bound>::SearchKnnSquared(
               Bound::SquaredLowerBound(min_dist) > heap->front().dist2) {
             return;
           }
-          SearchKnnSquared(child, query, k, exclude, heap);
+          SearchKnnSquared<kNoTombstones>(child, query, k, exclude, heap);
         });
   }
 }
@@ -242,7 +258,13 @@ std::vector<SquaredNeighbor> TombstonedTree<Bound>::KNearestSquared(
   if (k <= 0 || root_ < 0) return {};
   std::vector<SquaredNeighbor> heap;
   heap.reserve(k + 1);
-  SearchKnnSquared(root_, query, k, exclude, &heap);
+  // With no tombstones (every tree never removed from, and a tree just
+  // rebuilt) no liveness test can fail.
+  if (tombstones_ == 0) {
+    SearchKnnSquared<true>(root_, query, k, exclude, &heap);
+  } else {
+    SearchKnnSquared<false>(root_, query, k, exclude, &heap);
+  }
   std::sort_heap(heap.begin(), heap.end());
   return heap;
 }

@@ -30,7 +30,13 @@
 //  - The box distance dominates each member's SquaredDistance term by
 //    term in the same summation order (BoxMinSquaredDistance), so it is
 //    a certain lower bound on every member's *computed* squared
-//    distance, and sqrt and subtraction are monotone.
+//    distance, and sqrt and subtraction are monotone. The squared gap
+//    to the split plane is at most the far child's box term in the
+//    split dimension, so it is such a bound too. KNearestSquared tests
+//    it before the box, and on a tree without tombstones (one never
+//    removed from, as KnnIndex keeps, or one just rebuilt) it tests
+//    only the plane and skips the liveness checks: the classic KD-tree
+//    walk, cheaper at low d.
 //  - The triangle bound dist(q, centroid) − radius is computed from fp
 //    values with relative error O(d · eps) and could exceed a member's
 //    computed distance by a few ulps, so it is deflated by kFpSlack =
@@ -40,12 +46,8 @@
 //    pruning power. Squaring it deflates once more.
 //
 // Pruning is strict ("bound > worst retained"), so an equal bound still
-// visits and index ties survive. Box pruning (min distance to the box,
-// not just to the split plane) is what keeps exact k-NN competitive at
-// d ~ 8-16; axis boxes collapse under distance concentration, where a
-// covering ball follows the points' actual spread and keeps pruning —
-// that is what raises the IndexStrategy crossover dimension (see
-// index_strategy.cc).
+// visits and index ties survive. Every tier that picks a tree
+// (index_strategy.cc) picks the KD-tree, at d <= 4.
 //
 // Queries never mutate the tree and are safe to issue concurrently;
 // Remove must be externally serialized against queries.
@@ -198,6 +200,7 @@ class TombstonedTree {
   void ForLiveChildrenLowerFirst(const Node& node, LowerBound lower_bound,
                                  Visit visit) const;
 
+  template <bool kNoTombstones>
   void SearchKnnSquared(int node_id, const double* query, int k, int exclude,
                         std::vector<SquaredNeighbor>* heap) const;
   void SearchSurface(int node_id, const double* query, int k,

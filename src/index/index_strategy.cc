@@ -41,6 +41,17 @@ constexpr int kRdGbgTreeMaxThreads = 4;  // for the d<=4 tier only
 // serves flat within 1.08x of the best tree (traced auto_over_best).
 constexpr int kCenterTreeMaxDims = 2;
 constexpr int kCenterTreeMinBalls = 2048;
+// KnnIndex (kNN, SMOTE, Borderline-SMOTE, Tomek), against the flat
+// scan, on the data those callers see: bench_micro's
+// BM_KnnIndexPaperSuite (13 paper-suite stand-ins capped at 4 000 rows,
+// k = 5 held-out queries, GBX_THREADS=1, 4-core AVX-512 VM; rows in
+// BENCH_pr22.json at the repo root). The never-removed DynamicKdTree
+// leads only on S5, the one d = 2 set (0.97 us against 5.43); the flat
+// scan leads on every other set, least on S3 at d = 6 (3.2 us against
+// 4.5) and by 1.9-4.5x from d = 8 up. No set has 3 <= d <= 5, where
+// BM_KnnIndexForcedTreeQuery's well-separated Gaussian blobs have the
+// tree ahead; blobs like those misled the center tiers before (ROADMAP).
+constexpr int kKnnTreeMaxDims = 2;
 }  // namespace
 
 const char* IndexStrategyName(IndexStrategy strategy) {
@@ -92,6 +103,10 @@ IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
   return dims <= kCenterTreeMaxDims && num_balls >= kCenterTreeMinBalls
              ? IndexStrategy::kTree
              : IndexStrategy::kFlat;
+}
+
+IndexStrategy ResolveKnnIndexStrategy(int dims) {
+  return dims <= kKnnTreeMaxDims ? IndexStrategy::kTree : IndexStrategy::kFlat;
 }
 
 }  // namespace gbx

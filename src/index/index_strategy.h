@@ -52,6 +52,14 @@ IndexStrategy ResolveRdGbgIndexStrategy(IndexStrategy requested, int n,
 IndexStrategy ResolveCenterIndexStrategy(IndexStrategy requested,
                                          int num_balls, int dims);
 
+/// The structure behind KnnIndex (index/knn_index.h), the exact
+/// k-nearest primitive of the kNN classifier and the SMOTE-family and
+/// Tomek samplers: the DynamicKdTree at d<=2, the flat SIMD scan
+/// everywhere else. Resolves from the dimensionality alone and takes no
+/// request: both sides return the same neighbors, and the crossover is
+/// measured (rows cited in index_strategy.cc).
+IndexStrategy ResolveKnnIndexStrategy(int dims);
+
 }  // namespace gbx
 
 #endif  // GBX_INDEX_INDEX_STRATEGY_H_

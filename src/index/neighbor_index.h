@@ -1,7 +1,7 @@
-// The result types and exactness helpers every nearest-neighbor index
-// shares: the brute-force scanner, the static KdTree and the dynamic
-// trees. Indexes are non-owning views over a Matrix whose lifetime must
-// exceed the index.
+// The result types and exactness helpers every nearest-neighbor search
+// shares: the dynamic trees, KnnIndex and the flat scan loop
+// (ScanKNearest) behind it and RD-GBG. Indexes are non-owning views over
+// a Matrix whose lifetime must exceed the index.
 #ifndef GBX_INDEX_NEIGHBOR_INDEX_H_
 #define GBX_INDEX_NEIGHBOR_INDEX_H_
 

@@ -1,11 +1,11 @@
 // k-nearest-neighbors classifier (Cover & Hart, 1967) with scikit-learn's
-// default k = 5 and uniform vote; the KD-tree accelerates queries. Ties
-// break toward the class of the nearer neighbor, matching the behaviour of
-// a distance-sorted majority vote.
+// default k = 5 and uniform vote, over the exact k-nearest index
+// (index/knn_index.h). Ties break toward the class of the nearer neighbor,
+// matching the behaviour of a distance-sorted majority vote.
 #ifndef GBX_ML_KNN_H_
 #define GBX_ML_KNN_H_
 
-#include "index/kd_tree.h"
+#include "index/knn_index.h"
 #include "ml/classifier.h"
 
 namespace gbx {
@@ -20,10 +20,10 @@ class KnnClassifier : public Classifier {
 
   /// Restores a fitted state from a stored training set (model
   /// deserialization; see serve/model_io.h). Equivalent to Fit(train)
-  /// — kNN's "model" is the training data plus the rebuilt KD-tree.
+  /// — kNN's "model" is the training data plus the rebuilt index.
   void Restore(Dataset train);
 
-  bool fitted() const { return tree_ != nullptr; }
+  bool fitted() const { return index_ != nullptr; }
   int k() const { return k_; }
   /// The stored training set (empty before Fit/Restore).
   const Dataset& train() const { return train_; }
@@ -31,7 +31,7 @@ class KnnClassifier : public Classifier {
  private:
   int k_;
   Dataset train_;
-  std::unique_ptr<KdTree> tree_;
+  std::unique_ptr<KnnIndex> index_;
 };
 
 }  // namespace gbx

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/knn_index.h"
 #include "sampling/smote.h"
 
 namespace gbx {
@@ -15,23 +15,20 @@ BorderlineSmoteSampler::BorderlineSmoteSampler(int m_neighbors,
 }
 
 std::vector<int> BorderlineSmoteSampler::DangerSamples(
-    const Dataset& train, const std::vector<int>& class_indices,
-    int cls) const {
-  KdTree tree(&train.x());
+    const Dataset& train, const KnnIndex& index,
+    const std::vector<int>& class_indices, int cls) const {
   std::vector<int> danger;
   const int m = std::min(m_neighbors_, train.size() - 1);
   for (int idx : class_indices) {
-    const std::vector<Neighbor> nns = tree.KNearest(train.row(idx), m + 1);
+    const std::vector<SquaredNeighbor> nns =
+        index.KNearestSquared(train.row(idx), m, /*exclude=*/idx);
     int heterogeneous = 0;
-    int considered = 0;
-    for (const Neighbor& nb : nns) {
-      if (nb.index == idx) continue;  // skip the query itself
+    for (const SquaredNeighbor& nb : nns) {
       if (train.label(nb.index) != cls) ++heterogeneous;
-      if (++considered == m) break;
     }
     // DANGER: m/2 <= heterogeneous < m. heterogeneous == m means the
     // sample is likely noise; fewer than half means it is safe interior.
-    if (2 * heterogeneous >= considered && heterogeneous < considered) {
+    if (2 * heterogeneous >= m && heterogeneous < m) {
       danger.push_back(idx);
     }
   }
@@ -44,10 +41,11 @@ Dataset BorderlineSmoteSampler::Sample(const Dataset& train,
   Dataset out = train;
   const std::vector<int> counts = train.ClassCounts();
   const int majority = *std::max_element(counts.begin(), counts.end());
+  const KnnIndex index(&train.x());
   for (int cls = 0; cls < train.num_classes(); ++cls) {
     if (counts[cls] == 0 || counts[cls] >= majority) continue;
     const std::vector<int> members = train.IndicesOfClass(cls);
-    std::vector<int> danger = DangerSamples(train, members, cls);
+    std::vector<int> danger = DangerSamples(train, index, members, cls);
     // No borderline samples: fall back to plain SMOTE seeds so heavily
     // imbalanced folds still get rebalanced (imblearn raises instead; a
     // fallback keeps experiment pipelines total).

@@ -6,6 +6,7 @@
 #ifndef GBX_SAMPLING_BORDERLINE_SMOTE_H_
 #define GBX_SAMPLING_BORDERLINE_SMOTE_H_
 
+#include "index/knn_index.h"
 #include "sampling/sampler.h"
 
 namespace gbx {
@@ -20,8 +21,8 @@ class BorderlineSmoteSampler : public Sampler {
   std::string name() const override { return "BSM"; }
 
   /// The DANGER subset of `class_indices`: borderline minority samples.
-  /// Exposed for tests.
-  std::vector<int> DangerSamples(const Dataset& train,
+  /// `index` is a KnnIndex over train.x(). Exposed for tests.
+  std::vector<int> DangerSamples(const Dataset& train, const KnnIndex& index,
                                  const std::vector<int>& class_indices,
                                  int cls) const;
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/knn_index.h"
 
 namespace gbx {
 
@@ -16,26 +16,25 @@ void AppendSyntheticSamples(const Dataset& train,
   if (count <= 0 || seed_indices.empty() || neighbor_pool.empty()) return;
   const int p = train.num_features();
 
-  Matrix pool = train.x().SelectRows(neighbor_pool);
-  KdTree tree(&pool);
+  const Matrix pool = train.x().SelectRows(neighbor_pool);
+  const KnnIndex index(&pool);
+  // A seed's own pool row is excluded from its neighbors.
+  std::vector<int> pool_row(train.size(), -1);
+  for (int r = 0; r < static_cast<int>(neighbor_pool.size()); ++r) {
+    pool_row[neighbor_pool[r]] = r;
+  }
 
   std::vector<double> synthetic(p);
+  std::vector<int> candidates;
   for (int s = 0; s < count; ++s) {
     const int seed =
         seed_indices[rng->NextBounded(
             static_cast<std::uint32_t>(seed_indices.size()))];
     const double* x = train.row(seed);
-    // k+1 since the seed itself may be in the pool at distance 0.
-    std::vector<Neighbor> nns =
-        tree.KNearest(x, std::min<int>(k_neighbors + 1,
-                                       static_cast<int>(neighbor_pool.size())));
-    // Drop the self-match if present.
-    std::vector<int> candidates;
-    for (const Neighbor& nb : nns) {
-      if (neighbor_pool[nb.index] != seed) {
-        candidates.push_back(neighbor_pool[nb.index]);
-      }
-      if (static_cast<int>(candidates.size()) == k_neighbors) break;
+    candidates.clear();
+    for (const SquaredNeighbor& nb :
+         index.KNearestSquared(x, k_neighbors, pool_row[seed])) {
+      candidates.push_back(neighbor_pool[nb.index]);
     }
     if (candidates.empty()) candidates.push_back(seed);  // lone sample
     const int nn = candidates[rng->NextBounded(

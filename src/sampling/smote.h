@@ -23,10 +23,11 @@ class SmoteSampler : public Sampler {
 };
 
 /// Helper shared by the SMOTE family: appends `count` synthetic samples of
-/// class `cls` to `out`, interpolating members of `class_indices` toward
-/// their k nearest neighbors *within the given candidate set*.
-/// `seed_indices` are the samples interpolation starts from (the DANGER
-/// set for Borderline-SMOTE; all class members for plain SMOTE).
+/// class `cls` to `out`, interpolating members of `seed_indices` toward
+/// their k nearest neighbors *within `neighbor_pool`* (distinct sample
+/// ids; a seed is never its own neighbor). `seed_indices` are the samples
+/// interpolation starts from (the DANGER set for Borderline-SMOTE; all
+/// class members for plain SMOTE).
 void AppendSyntheticSamples(const Dataset& train,
                             const std::vector<int>& seed_indices,
                             const std::vector<int>& neighbor_pool, int cls,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "index/kd_tree.h"
+#include "index/knn_index.h"
 
 namespace gbx {
 
@@ -14,21 +14,11 @@ std::vector<std::pair<int, int>> TomekLinksSampler::FindLinks(
   const int n = train.size();
   std::vector<std::pair<int, int>> links;
   if (n < 2) return links;
-  KdTree tree(&train.x());
-  // Nearest distinct neighbor of each sample.
-  std::vector<int> nn(n, -1);
+  const KnnIndex index(&train.x());
+  // Nearest other sample of each sample (an exact duplicate counts).
+  std::vector<int> nn(n);
   for (int i = 0; i < n; ++i) {
-    const std::vector<Neighbor> res = tree.KNearest(train.row(i), 2);
-    for (const Neighbor& nb : res) {
-      if (nb.index != i) {
-        nn[i] = nb.index;
-        break;
-      }
-    }
-    // Duplicate points make every result index i itself impossible; but if
-    // coordinates tie exactly the second hit is a distinct id, so nn[i] is
-    // always set for n >= 2.
-    GBX_DCHECK(nn[i] >= 0);
+    nn[i] = index.KNearestSquared(train.row(i), 1, /*exclude=*/i)[0].index;
   }
   for (int i = 0; i < n; ++i) {
     const int j = nn[i];

@@ -224,7 +224,7 @@ TYPED_TEST_P(DynamicTreeTest, RebuildBoundaryAtExactlyHalf) {
 }
 
 // k beyond the live count degrades to "all live points", in order — the
-// guard the static KdTree shares (see index_test.cc).
+// guard KnnIndex shares (see index_test.cc).
 TYPED_TEST_P(DynamicTreeTest, OversizedKReturnsAllLivePoints) {
   const Matrix pts = RandomPoints(10, 2, 7);
   TypeParam tree(&pts, /*leaf_size=*/4);

@@ -139,8 +139,9 @@ TEST(BorderlineSmoteTest, DangerSetIsBorderlineOnly) {
   const Dataset ds(std::move(x), std::move(y));
 
   BorderlineSmoteSampler bsm(/*m_neighbors=*/5);
+  const KnnIndex index(&ds.x());
   const std::vector<int> danger =
-      bsm.DangerSamples(ds, ds.IndicesOfClass(1), 1);
+      bsm.DangerSamples(ds, index, ds.IndicesOfClass(1), 1);
   EXPECT_TRUE(std::find(danger.begin(), danger.end(), 14) != danger.end());
   EXPECT_TRUE(std::find(danger.begin(), danger.end(), 15) != danger.end());
   for (int i = 0; i < 6; ++i) {
