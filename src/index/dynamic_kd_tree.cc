@@ -211,27 +211,23 @@ void TombstonedTree<Bound>::SearchKnnSquared(
     const double diff = query[node.split_dim] - node.split_value;
     const int near = diff <= 0.0 ? node.left : node.right;
     const int far = diff <= 0.0 ? node.right : node.left;
-    // diff² is one term of the far child's box bound (see the header), at
-    // one multiply.
-    const auto plane_prunes_far = [&] {
-      return full() && diff * diff > heap->front().dist2;
-    };
     if constexpr (kNoTombstones) {
-      // Every node is live: the classic KD-tree walk, which at low d
-      // costs less than the box tests it skips (BENCH_pr22.json).
+      // Every node is live: the classic KD-tree walk. diff² bounds the far
+      // child like its box (see the header), and at low d testing it
+      // alone costs less than the box tests it skips (BENCH_pr22.json).
       SearchKnnSquared<true>(near, query, k, exclude, heap);
-      if (!plane_prunes_far()) {
+      if (!full() || diff * diff <= heap->front().dist2) {
         SearchKnnSquared<true>(far, query, k, exclude, heap);
       }
-      return;
-    }
-    if (nodes_[near].live != 0 &&
-        !(full() && bound_.MinDist2(near, query, d) > heap->front().dist2)) {
-      SearchKnnSquared<false>(near, query, k, exclude, heap);
-    }
-    if (nodes_[far].live != 0 && !plane_prunes_far() &&
-        !(full() && bound_.MinDist2(far, query, d) > heap->front().dist2)) {
-      SearchKnnSquared<false>(far, query, k, exclude, heap);
+    } else {
+      for (const int child : {near, far}) {
+        if (nodes_[child].live == 0) continue;
+        if (full() &&
+            bound_.MinDist2(child, query, d) > heap->front().dist2) {
+          continue;
+        }
+        SearchKnnSquared<false>(child, query, k, exclude, heap);
+      }
     }
   } else {
     ForLiveChildrenLowerFirst(

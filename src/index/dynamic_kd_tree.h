@@ -32,11 +32,10 @@
 //    a certain lower bound on every member's *computed* squared
 //    distance, and sqrt and subtraction are monotone. The squared gap
 //    to the split plane is at most the far child's box term in the
-//    split dimension, so it is such a bound too. KNearestSquared tests
-//    it before the box, and on a tree without tombstones (one never
-//    removed from, as KnnIndex keeps, or one just rebuilt) it tests
-//    only the plane and skips the liveness checks: the classic KD-tree
-//    walk, cheaper at low d.
+//    split dimension, so it is such a bound too: on a tree without
+//    tombstones (one never removed from, as KnnIndex keeps, or one just
+//    rebuilt) KNearestSquared tests only it and skips the liveness
+//    checks, the classic KD-tree walk.
 //  - The triangle bound dist(q, centroid) − radius is computed from fp
 //    values with relative error O(d · eps) and could exceed a member's
 //    computed distance by a few ulps, so it is deflated by kFpSlack =

@@ -1,7 +1,7 @@
 // The IndexStrategy resolution machinery: name/parse round-trips for
 // all four strategies and the kAuto tier tables — RD-GBG's size and
-// thread gates, and GB-kNN's single d<=2 KD-tree tier in front of the
-// fused SIMD top-k scan.
+// thread gates, GB-kNN's single d<=2 KD-tree tier in front of the
+// fused SIMD top-k scan, and KnnIndex's d<=2 tree/flat cutoff.
 #include <string>
 #include <vector>
 
@@ -118,6 +118,17 @@ TEST(ResolveCenterTest, MagicShapedModelServesFlat) {
   model.Restore(GranularBallSet(std::move(balls), centers, 2),
                 std::move(scaler), 2);
   EXPECT_EQ(model.resolved_index_strategy(), IndexStrategy::kFlat);
+}
+
+// KnnIndex keeps the KD-tree at d <= 2 only; every paper-suite set with
+// d >= 6 queries faster through the flat scan (index_strategy.cc).
+TEST(ResolveKnnIndexTest, KdTreeOnlyUpToTwoDims) {
+  for (int d = 1; d <= 2; ++d) {
+    EXPECT_EQ(ResolveKnnIndexStrategy(d), IndexStrategy::kTree) << d;
+  }
+  for (const int d : {3, 6, 10, 256}) {
+    EXPECT_EQ(ResolveKnnIndexStrategy(d), IndexStrategy::kFlat) << d;
+  }
 }
 
 }  // namespace
