@@ -69,8 +69,8 @@ BENCHMARK(BM_PurityGbg)->RangeMultiplier(2)->Range(1000, 8000);
 // (ResolveKnnIndexStrategy) puts d <= 2 on the DynamicKdTree and d >= 3
 // on the flat scan; the forced arms time the other structure on each
 // side of it: the flat scan at d = 2, the tree at d = 3 and 8. On three
-// well-separated blobs the tree also leads at d = 3 and 8; the cutoff
-// follows BM_KnnIndexPaperSuite below, the data the callers see.
+// well-separated blobs the tree also leads at d = 3; the cutoff follows
+// BM_KnnIndexPaperSuite below, the data the callers see.
 Dataset KnnBenchPoints(const benchmark::State& state) {
   return BenchBlobs(static_cast<int>(state.range(0)), 3,
                     static_cast<int>(state.range(1)));

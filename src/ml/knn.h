@@ -13,6 +13,10 @@ namespace gbx {
 class KnnClassifier : public Classifier {
  public:
   explicit KnnClassifier(int k = 5);
+  // The fitted index points into train_, so a copied or moved classifier
+  // would query the source's (possibly moved-from) rows.
+  KnnClassifier(const KnnClassifier&) = delete;
+  KnnClassifier& operator=(const KnnClassifier&) = delete;
 
   void Fit(const Dataset& train, Pcg32* rng) override;
   int Predict(const double* x) const override;

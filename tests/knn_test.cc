@@ -1,6 +1,7 @@
 #include "ml/knn.h"
 
 #include <string>
+#include <type_traits>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +83,11 @@ TEST(KnnTest, KLargerThanTrainingSet) {
 }
 
 TEST(KnnTest, DefaultKIsFive) { EXPECT_EQ(KnnClassifier().k(), 5); }
+
+// A fitted classifier's index points into its own training rows; a moved
+// one queried the moved-from matrix (a null-row read at d = 2).
+static_assert(!std::is_move_constructible_v<KnnClassifier>);
+static_assert(!std::is_copy_constructible_v<KnnClassifier>);
 
 // One fitted model answers Predict from several pool threads at once, as
 // the serving engine's workers call it: every answer equals the serial
