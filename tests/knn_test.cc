@@ -129,6 +129,9 @@ struct PinnedKnnCase {
   int rows;
   std::uint64_t held_out;
   std::uint64_t train;
+  friend void PrintTo(const PinnedKnnCase& c, std::ostream* os) {
+    *os << c.id << " (" << c.rows << " rows)";
+  }
 };
 
 class KnnPinnedTest : public ::testing::TestWithParam<PinnedKnnCase> {};

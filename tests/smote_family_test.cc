@@ -213,6 +213,9 @@ struct PinnedSamplerCase {
   int rows;
   std::uint64_t smote;
   std::uint64_t borderline_smote;
+  friend void PrintTo(const PinnedSamplerCase& c, std::ostream* os) {
+    *os << c.id << " (" << c.rows << " rows)";
+  }
 };
 
 class SmoteFamilyPinnedTest

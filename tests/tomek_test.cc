@@ -108,6 +108,9 @@ struct PinnedTomekCase {
   int rows;
   std::uint64_t majority_only;
   std::uint64_t remove_both;
+  friend void PrintTo(const PinnedTomekCase& c, std::ostream* os) {
+    *os << c.id << " (" << c.rows << " rows)";
+  }
 };
 
 class TomekPinnedTest : public ::testing::TestWithParam<PinnedTomekCase> {};
