@@ -22,10 +22,6 @@
 
 namespace gbx {
 
-/// Rows per simd kernel call of ScanKNearest: a block's distances stay
-/// L1-resident between the kernel and the heap pass.
-inline constexpr int kScanBlock = 256;
-
 /// The flat k-nearest loop: squared distances from `q` to rows [lo, hi)
 /// of `rows` into dist[lo, hi) (indexed by row), one kernel block at a
 /// time, and every row with eligible(row) offered as (dist2, row) to
@@ -39,6 +35,9 @@ template <typename Eligible>
 void ScanKNearest(const double* q, const SoaMatrix& rows, int lo, int hi,
                   int k, const Eligible& eligible, double* dist,
                   std::vector<SquaredNeighbor>* heap) {
+  // Rows per kernel call: a block's distances stay L1-resident between
+  // the kernel and the heap pass.
+  constexpr int kScanBlock = 256;
   heap->clear();
   double worst = std::numeric_limits<double>::infinity();
   for (int b = lo; b < hi; b += kScanBlock) {
