@@ -68,8 +68,9 @@ BENCHMARK(BM_PurityGbg)->RangeMultiplier(2)->Range(1000, 8000);
 // k = 5 query rows over Gaussian blobs, n × d. Its cutoff
 // (ResolveKnnIndexStrategy) puts d <= 2 on the DynamicKdTree and d >= 3
 // on the flat scan; the forced arms time the other structure on each
-// side of it: the flat scan at d = 2, the tree at d = 3 and 8. On three
-// well-separated blobs the tree also leads at d = 3; the cutoff follows
+// side of it: the flat scan at d = 2 (FlatKNearestSquared, KnnIndex's
+// own flat query), the tree at d = 3 and 8. On three well-separated
+// blobs the tree also leads at d = 3; the cutoff follows
 // BM_KnnIndexPaperSuite below, the data the callers see.
 Dataset KnnBenchPoints(const benchmark::State& state) {
   return BenchBlobs(static_cast<int>(state.range(0)), 3,
@@ -96,25 +97,12 @@ void BM_KnnIndexQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_KnnIndexQuery)->ArgsProduct({{1000, 4000, 16000}, {2, 3, 8}});
 
-// KnnIndex's query above its cutoff, on any dimensionality.
-void FlatKNearest(const double* query, const SoaMatrix& rows, int k,
-                  std::vector<double>* dist,
-                  std::vector<SquaredNeighbor>* heap) {
-  ScanKNearest(
-      query, rows, 0, rows.rows(), k, [](int) { return true; }, dist->data(),
-      heap);
-  std::sort_heap(heap->begin(), heap->end());
-  benchmark::DoNotOptimize(heap->data());
-}
-
 void BM_KnnIndexForcedFlatQuery(benchmark::State& state) {
   const Dataset ds = KnnBenchPoints(state);
   const SoaMatrix rows = SoaMatrix::FromMatrix(ds.x());
-  std::vector<double> dist(ds.size());
-  std::vector<SquaredNeighbor> heap;
   int i = 0;
   for (auto _ : state) {
-    FlatKNearest(ds.row(i), rows, 5, &dist, &heap);
+    benchmark::DoNotOptimize(FlatKNearestSquared(rows, ds.row(i), 5, -1));
     i = (i + 1) % ds.size();
   }
 }
@@ -136,7 +124,8 @@ BENCHMARK(BM_KnnIndexForcedTreeQuery)
 // The same two structures on the data KnnIndex's callers see: the 13
 // paper-suite stand-ins (MakePaperDataset, capped at 4 000 rows, 70 %
 // training split), k = 5 queries at the held-out rows. arg 0 is the
-// dataset (0 = S1), arg 1 the structure (0 flat scan, 1 DynamicKdTree).
+// dataset (0 = S1), arg 1 the structure (0 the flat scan,
+// FlatKNearestSquared, which KnnIndex itself calls; 1 DynamicKdTree).
 void BM_KnnIndexPaperSuite(benchmark::State& state) {
   const Dataset all =
       MakePaperDataset(static_cast<int>(state.range(0)), 4000, 7);
@@ -146,12 +135,11 @@ void BM_KnnIndexPaperSuite(benchmark::State& state) {
   const Matrix& queries = split.test.x();
   const SoaMatrix rows = SoaMatrix::FromMatrix(x);
   const DynamicKdTree tree(&x);
-  std::vector<double> dist(x.rows());
-  std::vector<SquaredNeighbor> heap;
   int i = 0;
   for (auto _ : state) {
     if (state.range(1) == 0) {
-      FlatKNearest(queries.Row(i), rows, 5, &dist, &heap);
+      benchmark::DoNotOptimize(
+          FlatKNearestSquared(rows, queries.Row(i), 5, -1));
     } else {
       benchmark::DoNotOptimize(tree.KNearestSquared(queries.Row(i), 5));
     }

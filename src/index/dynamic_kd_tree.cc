@@ -213,8 +213,8 @@ void TombstonedTree<Bound>::SearchKnnSquared(
     const int far = diff <= 0.0 ? node.right : node.left;
     if constexpr (kNoTombstones) {
       // Every node is live: the classic KD-tree walk. diff² bounds the far
-      // child like its box (see the header), and at low d testing it
-      // alone costs less than the box tests it skips (BENCH_pr22.json).
+      // child like its box (see the header), and testing it alone costs
+      // less than the box tests it skips (BENCH_pr22.json, tree_walk).
       SearchKnnSquared<true>(near, query, k, exclude, heap);
       if (!full() || diff * diff <= heap->front().dist2) {
         SearchKnnSquared<true>(far, query, k, exclude, heap);

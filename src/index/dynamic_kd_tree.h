@@ -45,8 +45,14 @@
 //    pruning power. Squaring it deflates once more.
 //
 // Pruning is strict ("bound > worst retained"), so an equal bound still
-// visits and index ties survive. Every tier that picks a tree
-// (index_strategy.cc) picks the KD-tree, at d <= 4.
+// visits and index ties survive. Box pruning (min distance to the box,
+// not just to the split plane) is meant to keep exact k-NN competitive
+// at d ~ 8-16; axis boxes collapse under distance concentration, where
+// a covering ball follows the points' actual spread and keeps pruning —
+// that is what raises the IndexStrategy crossover dimension (see
+// index_strategy.cc). On a tree without tombstones the plane-only walk
+// measured faster from d = 2 to 256 (BENCH_pr22.json, tree_walk), so
+// it runs there: every KnnIndex tree query and 0.02-14 % of RD-GBG's.
 //
 // Queries never mutate the tree and are safe to issue concurrently;
 // Remove must be externally serialized against queries.

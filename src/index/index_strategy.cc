@@ -46,9 +46,11 @@ constexpr int kCenterTreeMinBalls = 2048;
 // BM_KnnIndexPaperSuite (13 paper-suite stand-ins capped at 4 000 rows,
 // k = 5 held-out queries, GBX_THREADS=1, 4-core AVX-512 VM; rows in
 // BENCH_pr22.json at the repo root). The never-removed DynamicKdTree
-// leads only on S5, the one d = 2 set (0.97 us against 5.43); the flat
-// scan leads on every other set, least on S3 at d = 6 (3.2 us against
-// 4.5) and by 1.9-4.5x from d = 8 up. No set has 3 <= d <= 5, where
+// leads only on S5, the one d = 2 set (0.85 us against 5.09); the flat
+// scan leads on every other set by 1.3-3.8x, least on S11 at d = 9
+// (9.7 us against 12.9) and S3 at d = 6 (3.6 against 6.3). The flat
+// arm is FlatKNearestSquared, KnnIndex's own query, allocation
+// included. No set has 3 <= d <= 5, where
 // BM_KnnIndexForcedTreeQuery's well-separated Gaussian blobs have the
 // tree ahead; blobs like those misled the center tiers before (ROADMAP).
 constexpr int kKnnTreeMaxDims = 2;

@@ -15,12 +15,11 @@ KnnIndex::KnnIndex(const Matrix* points) {
   }
 }
 
-std::vector<SquaredNeighbor> KnnIndex::KNearestSquared(const double* query,
-                                                       int k,
-                                                       int exclude) const {
-  if (tree_.has_value()) return tree_->KNearestSquared(query, k, exclude);
+std::vector<SquaredNeighbor> FlatKNearestSquared(const SoaMatrix& rows,
+                                                 const double* query, int k,
+                                                 int exclude) {
   GBX_CHECK_GE(k, 0);
-  const int n = rows_.rows();
+  const int n = rows.rows();
   const int eligible = exclude >= 0 && exclude < n ? n - 1 : n;
   k = std::min(k, eligible);
   if (k <= 0) return {};
@@ -28,10 +27,17 @@ std::vector<SquaredNeighbor> KnnIndex::KNearestSquared(const double* query,
   std::vector<SquaredNeighbor> heap;
   heap.reserve(k);
   ScanKNearest(
-      query, rows_, 0, n, k, [exclude](int row) { return row != exclude; },
+      query, rows, 0, n, k, [exclude](int row) { return row != exclude; },
       dist.get(), &heap);
   std::sort_heap(heap.begin(), heap.end());
   return heap;
+}
+
+std::vector<SquaredNeighbor> KnnIndex::KNearestSquared(const double* query,
+                                                       int k,
+                                                       int exclude) const {
+  if (tree_.has_value()) return tree_->KNearestSquared(query, k, exclude);
+  return FlatKNearestSquared(rows_, query, k, exclude);
 }
 
 }  // namespace gbx

@@ -51,6 +51,12 @@ void ScanKNearest(const double* q, const SoaMatrix& rows, int lo, int hi,
   }
 }
 
+/// KnnIndex's query above its cutoff: ScanKNearest over all of `rows`
+/// into a distance buffer it allocates, sorted ascending.
+std::vector<SquaredNeighbor> FlatKNearestSquared(const SoaMatrix& rows,
+                                                 const double* query, int k,
+                                                 int exclude);
+
 class KnnIndex {
  public:
   /// `points` must outlive the index and must not be mutated while it is
