@@ -32,6 +32,14 @@
 //                         on top (simd::SurfaceTopK, k axis), per
 //                         dispatch level; its rows read against
 //                         BM_CenterScanKernel's show what selection adds.
+//   BM_SquaredTopKKernel — the k-nearest scan behind RD-GBG's candidate
+//                         rounds and KnnIndex (simd::SquaredTopK, k = 32)
+//                         over the min-max scaled S5, S10 and S13
+//                         stand-ins at gbxbench's training row counts,
+//                         5% of rows dead, each query excluding its own
+//                         row. q queries share each pass; q:1 is the
+//                         one-query scan every query paid before, so the
+//                         per-query time against it is the gain.
 //
 // kAuto's thresholds in index/index_strategy.cc are picked from these
 // curves. Every strategy produces bit-identical results, so rows differ
@@ -40,6 +48,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -48,6 +57,8 @@
 
 #include "bench_json.h"
 #include "common/rng.h"
+#include "data/paper_suite.h"
+#include "data/scaler.h"
 #include "data/synthetic.h"
 #include "index/dynamic_kd_tree.h"
 #include "ml/gb_knn.h"
@@ -370,6 +381,67 @@ BENCHMARK(BM_CenterTopKKernel)
     ->ArgNames({"n", "d", "k", "simd"})
     ->ArgsProduct({{16000}, {2, 10, 32, 128}, {1, 5}, {0, 1, 2, 3}})
     ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// S5 / S10 / S13 at the training row counts of gbxbench's banana, magic
+// and usps workloads, min-max scaled as RD-GBG scales them.
+const Matrix& CachedSuiteRows(int set) {
+  static std::map<int, Matrix> cache;
+  auto it = cache.find(set);
+  if (it == cache.end()) {
+    const int rows = set == 5 ? 4000 : (set == 10 ? 8000 : 2000);
+    const char* id = set == 5 ? "S5" : (set == 10 ? "S10" : "S13");
+    const Dataset ds = MakePaperDataset(id, rows, /*seed=*/13);
+    it = cache.emplace(set, MinMaxScaler().FitTransform(ds.x())).first;
+  }
+  return it->second;
+}
+
+void BM_SquaredTopKKernel(benchmark::State& state) {
+  const int set = static_cast<int>(state.range(0));
+  const int nq = static_cast<int>(state.range(1));
+  const auto level = static_cast<simd::Level>(state.range(2));
+  if (!simd::Supported(level)) {
+    state.SkipWithError("simd level unsupported on this host");
+    return;
+  }
+  simd::SetLevelForTest(level);
+  constexpr int kK = 32;
+  const Matrix& x = CachedSuiteRows(set);
+  const SoaMatrix soa = SoaMatrix::FromMatrix(x);
+  const int m = x.rows();
+  std::vector<std::uint8_t> live(m);
+  Pcg32 rng(2303);
+  for (int i = 0; i < m; ++i) live[i] = rng.NextDouble() < 0.05 ? 0 : 1;
+  // Queries are live rows spread over the set, each excluding itself.
+  std::vector<const double*> queries;
+  std::vector<int> exclude;
+  for (int i = 0; static_cast<int>(queries.size()) < nq; i += m / nq - 1) {
+    if (!live[i]) continue;
+    queries.push_back(x.Row(i));
+    exclude.push_back(i);
+  }
+  std::vector<std::pair<double, int>> top(static_cast<std::size_t>(nq) * kK);
+  std::vector<int> counts(nq);
+  for (auto _ : state) {
+    simd::SquaredTopK(queries.data(), nq, soa, live.data(), exclude.data(), 0,
+                      m, kK, top.data(), counts.data());
+    benchmark::DoNotOptimize(top.data());
+  }
+  simd::ReresolveFromEnvForTest();  // restore the process-wide level
+  state.counters["d"] = x.cols();
+  state.counters["rows"] = m;
+  state.counters["us_per_query"] = benchmark::Counter(
+      static_cast<double>(nq) * 1e-6,
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() * nq);
+}
+
+BENCHMARK(BM_SquaredTopKKernel)
+    ->ArgNames({"set", "q", "simd"})
+    ->ArgsProduct({{5, 10, 13}, {1, 2, 7, 10}, {0, 1, 2, 3}})
+    ->Unit(benchmark::kMicrosecond)
     ->UseRealTime();
 
 const Dataset& CachedBlobs(int n) {

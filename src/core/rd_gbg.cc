@@ -7,13 +7,13 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <utility>
 
 #include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "data/scaler.h"
 #include "index/dynamic_kd_tree.h"
-#include "index/knn_index.h"
 #include "index/neighbor_index.h"
 #include "simd/simd.h"
 
@@ -21,8 +21,8 @@ namespace gbx {
 
 namespace {
 
-// The flat candidate scan splits across the pool only when U carries at
-// least this many row-dimensions: a candidate pass is tens of
+// A flat pass splits across the pool only when it covers at least this
+// many row-dimensions (summed over its queries): a pass is tens of
 // microseconds, so below it the pool handoff costs more than the second
 // worker saves.
 constexpr std::int64_t kScanMinParallelUnits = std::int64_t{1} << 18;
@@ -153,12 +153,13 @@ class UndividedByClass {
   std::vector<int> pos_;                   // sample -> index in members_
 };
 
-// Flat strategy: U kept resident as a SoA copy of its rows, so a
-// candidate's neighbor pass is one streaming kernel call instead of a
-// gather-pack of scattered rows. Departures are tombstoned (the slot's
-// live flag clears) and the copy compacts once half its slots are dead.
-// The granulation applies a candidate's departures only when the
-// candidate ends, so every scan sees the U the candidate started with.
+// Flat strategy: U kept resident as a SoA copy of its rows with a live
+// byte per slot, so a neighbor pass is one streaming kernel call instead
+// of a gather-pack of scattered rows. Departures are tombstoned (the
+// slot's live byte clears) and the copy compacts once half its slots are
+// dead. The granulation applies a candidate's departures only when the
+// candidate ends, so every pass a candidate makes sees the U it started
+// with.
 class ResidentU {
  public:
   explicit ResidentU(const Matrix& x)
@@ -190,49 +191,69 @@ class ResidentU {
       if (live_[s]) slot_sample_[kept++] = slot_sample_[s];
     }
     slot_sample_.resize(kept);
-    // ScanTopK ranks slots in place of samples, which needs slot order to
-    // stay sample order.
+    // RoundTopK ranks slots in place of samples, which needs slot order
+    // to stay sample order.
     GBX_DCHECK(std::is_sorted(slot_sample_.begin(), slot_sample_.end()));
     for (int s = 0; s < kept; ++s) sample_slot_[slot_sample_[s]] = s;
     live_.assign(kept, 1);
     rows_.GatherRows(*x_, slot_sample_.data(), kept);
   }
 
-  /// Squared distances from `q` to every slot into the shared distance
-  /// buffer, fused with the selection of the k smallest (dist2, index)
-  /// entries among the live samples other than `exclude`, which land in
-  /// `top` ascending. The slots split into `workers` contiguous ranges,
-  /// each scanned by ScanKNearest into its own bounded max-heap. Because
-  /// the order is strict and total, the merged top-k is the same for
-  /// every split; it ranks slots, and slot order is sample order, so
-  /// mapping slots to samples afterwards keeps the (dist2, sample) order.
-  void ScanTopK(const double* q, int exclude, int k, int workers,
-                std::vector<DistEntry>* top) {
-    const int slots = rows_.rows();
-    const int exclude_slot = sample_slot_[exclude];
-    const auto eligible = [&](int s) { return live_[s] && s != exclude_slot; };
-    heaps_.resize(workers);
-    ParallelForRange(workers, 1, workers, [&](int wbegin, int wend) {
-      for (int w = wbegin; w < wend; ++w) {
-        const int lo = static_cast<int>(
-            static_cast<std::int64_t>(slots) * w / workers);
-        const int hi = static_cast<int>(
-            static_cast<std::int64_t>(slots) * (w + 1) / workers);
-        ScanKNearest(q, rows_, lo, hi, k, eligible, dist_.data(), &heaps_[w]);
-      }
-    });
-    top->clear();
-    for (const std::vector<DistEntry>& heap : heaps_) {
-      top->insert(top->end(), heap.begin(), heap.end());
+  /// The round pass: for every candidate t (a live sample), the k
+  /// smallest (dist2, sample) entries among the other live samples,
+  /// ascending, in lists[t*k, t*k + counts[t]). The slots split into
+  /// `workers` contiguous ranges, each scanned for all candidates at
+  /// once by one simd::SquaredTopK call. Because the order is strict and
+  /// total, the merged lists are the same for every split; the kernel
+  /// ranks slots, and slot order is sample order, so mapping slots to
+  /// samples afterwards keeps the (dist2, sample) order.
+  void RoundTopK(const std::vector<int>& candidates, int k, int workers,
+                 std::vector<DistEntry>* lists, std::vector<int>* counts) {
+    const int nq = static_cast<int>(candidates.size());
+    queries_.resize(nq);
+    exclude_slots_.resize(nq);
+    for (int t = 0; t < nq; ++t) {
+      queries_[t] = x_->Row(candidates[t]);
+      exclude_slots_[t] = sample_slot_[candidates[t]];
     }
-    std::sort(top->begin(), top->end());
-    if (static_cast<int>(top->size()) > k) top->resize(k);
-    for (DistEntry& entry : *top) entry.index = slot_sample_[entry.index];
+    const std::size_t per_worker = static_cast<std::size_t>(nq) * k;
+    found_.resize(workers * per_worker);
+    found_counts_.resize(static_cast<std::size_t>(workers) * nq);
+    ForEachRange(workers, [&](int w, int lo, int hi) {
+      simd::SquaredTopK(queries_.data(), nq, rows_, live_.data(),
+                        exclude_slots_.data(), lo, hi, k,
+                        found_.data() + w * per_worker,
+                        found_counts_.data() + static_cast<std::size_t>(w) * nq);
+    });
+    lists->resize(per_worker);
+    counts->resize(nq);
+    for (int t = 0; t < nq; ++t) {
+      merged_.clear();
+      for (int w = 0; w < workers; ++w) {
+        const std::pair<double, int>* list =
+            found_.data() + w * per_worker + static_cast<std::size_t>(t) * k;
+        merged_.insert(merged_.end(), list,
+                       list + found_counts_[static_cast<std::size_t>(w) * nq +
+                                            t]);
+      }
+      std::sort(merged_.begin(), merged_.end());
+      const int count = std::min(k, static_cast<int>(merged_.size()));
+      DistEntry* out = lists->data() + static_cast<std::size_t>(t) * k;
+      for (int e = 0; e < count; ++e) {
+        out[e] = DistEntry{merged_[e].first, slot_sample_[merged_[e].second]};
+      }
+      (*counts)[t] = count;
+    }
   }
 
-  /// After ScanTopK: every live entry but `exclude`'s, read from the
-  /// distance buffer — the input of the full-scan fallback.
-  void FillAll(int exclude, std::vector<DistEntry>* out) const {
+  /// A fresh squared-distance pass from `q` over every slot, then every
+  /// live entry but `exclude`'s, unsorted — the input of a candidate's
+  /// deep-read fallback.
+  void FillAll(const double* q, int exclude, int workers,
+               std::vector<DistEntry>* out) {
+    ForEachRange(workers, [&](int, int lo, int hi) {
+      simd::SquaredDistanceBatch(q, rows_, lo, hi, dist_.data());
+    });
     const int slots = rows_.rows();
     const int exclude_slot = sample_slot_[exclude];
     out->clear();
@@ -244,28 +265,54 @@ class ResidentU {
   }
 
  private:
+  // Runs fn(w, lo, hi) for `workers` contiguous slot ranges over the pool.
+  template <typename Fn>
+  void ForEachRange(int workers, const Fn& fn) {
+    const int slots = rows_.rows();
+    ParallelForRange(workers, 1, workers, [&](int wbegin, int wend) {
+      for (int w = wbegin; w < wend; ++w) {
+        fn(w,
+           static_cast<int>(static_cast<std::int64_t>(slots) * w / workers),
+           static_cast<int>(static_cast<std::int64_t>(slots) * (w + 1) /
+                            workers));
+      }
+    });
+  }
+
   const Matrix* x_;
   SoaMatrix rows_;                 // slot s holds sample slot_sample_[s]
   std::vector<int> slot_sample_;
   std::vector<int> sample_slot_;   // valid for live samples
   std::vector<std::uint8_t> live_;
   int live_count_;
-  std::vector<double> dist_;       // per-slot distances of the last scan
-  std::vector<std::vector<DistEntry>> heaps_;  // one per scan worker
+  std::vector<double> dist_;       // per-slot distances of FillAll's pass
+  // RoundTopK scratch: the candidates' rows and slots, each worker's
+  // lists and counts, and one candidate's merge.
+  std::vector<const double*> queries_;
+  std::vector<int> exclude_slots_;
+  std::vector<std::pair<double, int>> found_;
+  std::vector<int> found_counts_;
+  std::vector<std::pair<double, int>> merged_;
 };
 
-// The sorted neighbor view over a resident scan: the top-K prefix
-// serves almost every read; a candidate that reads past K falls back to
-// a LazySortedPrefix over every live entry, built from the distances the
-// scan already left in the buffer.
+// The sorted neighbor view of a flat candidate. `top` is the candidate's
+// round-pass list with the samples that left U since the round started
+// filtered out. U only shrinks, so the list's survivors are exactly the
+// first entries of the candidate's current sorted list: every sample of
+// today's U that the round pass did not keep ranked behind all of them.
+// The survivors serve almost every read; a candidate that reads past
+// them falls back to a fresh distance pass over today's U and a
+// LazySortedPrefix over every live entry.
 class ResidentNeighborView {
  public:
-  ResidentNeighborView(const ResidentU* u, int exclude,
-                       const std::vector<DistEntry>* top,
+  ResidentNeighborView(ResidentU* u, const double* query, int exclude,
+                       int workers, const std::vector<DistEntry>* top,
                        std::vector<DistEntry>* storage,
                        std::size_t initial_block, double* fallback_ms)
       : u_(u),
+        query_(query),
         exclude_(exclude),
+        workers_(workers),
         top_(top),
         storage_(storage),
         m_(static_cast<std::size_t>(u->live() - 1)),
@@ -287,9 +334,9 @@ class ResidentNeighborView {
                        (!lazy_.has_value() || i >= lazy_->sorted());
     if (timed) start = std::chrono::steady_clock::now();
     if (!lazy_.has_value()) {
-      // The top-K prefix has already been read, so the first block
-      // doubles it.
-      u_->FillAll(exclude_, storage_);
+      // The filtered prefix has already been read, so the first block
+      // doubles the round pass's list length.
+      u_->FillAll(query_, exclude_, workers_, storage_);
       lazy_.emplace(storage_, 2 * initial_block_);
     }
     const DistEntry& entry = (*lazy_)[i];
@@ -297,8 +344,10 @@ class ResidentNeighborView {
     return entry;
   }
 
-  const ResidentU* u_;
+  ResidentU* u_;
+  const double* query_;
   int exclude_;
+  int workers_;  // for the fallback's distance pass
   const std::vector<DistEntry>* top_;
   std::vector<DistEntry>* storage_;
   std::size_t m_;
@@ -325,13 +374,14 @@ class TreeNeighborStream {
  public:
   TreeNeighborStream(const Tree* tree, const double* query,
                      int exclude, std::vector<DistEntry>* storage,
-                     std::size_t initial_block)
+                     std::size_t initial_block, double* fetch_ms)
       : tree_(tree),
         query_(query),
         exclude_(exclude),
         storage_(storage),
         m_(static_cast<std::size_t>(tree->size() - 1)),
-        initial_block_(std::max<std::size_t>(initial_block, 1)) {
+        initial_block_(std::max<std::size_t>(initial_block, 1)),
+        fetch_ms_(fetch_ms) {
     storage_->clear();
   }
 
@@ -355,8 +405,11 @@ class TreeNeighborStream {
         std::max({need, storage_->size() * 4, initial_block_});
     if (target >= m_ / 2) target = m_;
     target = std::min(target, m_);
+    std::chrono::steady_clock::time_point start;
+    if (fetch_ms_ != nullptr) start = std::chrono::steady_clock::now();
     *storage_ = tree_->KNearestSquared(query_, static_cast<int>(target),
                                        exclude_);
+    if (fetch_ms_ != nullptr) *fetch_ms_ += MsSince(start);
     GBX_DCHECK(storage_->size() == target);
   }
 
@@ -366,6 +419,7 @@ class TreeNeighborStream {
   std::vector<DistEntry>* storage_;
   std::size_t m_;
   std::size_t initial_block_;
+  double* fetch_ms_;  // nullptr when metrics are off
 };
 
 }  // namespace
@@ -381,9 +435,11 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   const int grain = ParallelGrain(p);
 
   // Phase timers (gbx_core_phase_ms{phase=...}): total granulation time
-  // plus the accumulated r_conf pass, flat top-K scan and flat full-scan
-  // fallback. Behind metrics::Enabled() because each probe adds two
-  // clock reads per candidate — near-zero when armed, literally zero
+  // plus the accumulated r_conf pass, neighbor search (rdgbg_scan: the
+  // flat round passes, or the tree fetches) and the flat deep-read
+  // fallback (rdgbg_fallback: fresh distance passes plus the lazy sort;
+  // 0 under the trees). Behind metrics::Enabled() because each probe adds
+  // two clock reads per candidate — near-zero when armed, literally zero
   // when GBX_METRICS=0.
   const bool metrics_on = metrics::Enabled();
   const auto fit_start = std::chrono::steady_clock::now();
@@ -402,7 +458,12 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   Pcg32 rng(config.seed);
 
   std::vector<DistEntry> entries;
-  std::vector<DistEntry> top;  // flat scan: the candidate's K nearest
+  // Flat strategy: the round pass's lists (round_k slots per candidate,
+  // round_counts filled), and the current candidate's filtered list.
+  std::vector<DistEntry> round_lists;
+  std::vector<int> round_counts;
+  int round_k = 0;
+  std::vector<DistEntry> top;
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
   // (simd::MinSurfaceGap); every new ball is appended to it.
@@ -462,7 +523,24 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           undivided.Select(cls, static_cast<int>(rng.NextBounded(size))));
     }
 
-    for (int c : candidates) {
+    // Flat strategy: one fused top-K pass over the round-start U serves
+    // every candidate of the round; each candidate later drops the
+    // entries that left U before its turn.
+    if (uflat != nullptr && uflat->live() > 1) {
+      std::chrono::steady_clock::time_point scan_start;
+      if (metrics_on) scan_start = std::chrono::steady_clock::now();
+      round_k = static_cast<int>(std::min<std::size_t>(
+          initial_block, static_cast<std::size_t>(uflat->live() - 1)));
+      const std::int64_t units = static_cast<std::int64_t>(uflat->live()) *
+                                 p * static_cast<std::int64_t>(candidates.size());
+      uflat->RoundTopK(candidates, round_k,
+                       units >= kScanMinParallelUnits ? threads : 1,
+                       &round_lists, &round_counts);
+      if (metrics_on) scan_accum_ms += MsSince(scan_start);
+    }
+
+    for (std::size_t t = 0; t < candidates.size(); ++t) {
+      const int c = candidates[t];
       // A previous candidate in this round may have absorbed or removed c.
       if (state[c] != SampleState::kUndivided) continue;
       const int label = labels[c];
@@ -471,7 +549,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
       // Everything from local-density detection to ball assembly,
       // against a sorted neighbor view — ResidentNeighborView over the
-      // flat scan or TreeNeighborStream over incremental tree queries.
+      // round pass or TreeNeighborStream over incremental tree queries.
       // Both present the same (dist2, index) total order, so the
       // instantiations make identical decisions bit-for-bit. Tombstone
       // removals are deferred (collected in removed_now) so every view
@@ -616,7 +694,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           return;
         }
         TreeNeighborStream neighbors(tree, cx, /*exclude=*/c, &entries,
-                                     initial_block);
+                                     initial_block,
+                                     metrics_on ? &scan_accum_ms : nullptr);
         run_candidate(neighbors);
         for (int idx : removed_now) tree->Remove(idx);
       };
@@ -629,24 +708,24 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         continue;
       }
 
-      // Flat strategy: one fused distance + top-K pass over the resident
-      // U; sqrt is deferred until a radius is actually assigned.
+      // Flat strategy: the round pass's list, minus the samples earlier
+      // candidates of this round removed from U; sqrt is deferred until a
+      // radius is actually assigned.
       if (uflat->live() <= 1) {
         set_state(c, SampleState::kLowDensity);  // last sample standing
         continue;
       }
-      std::chrono::steady_clock::time_point scan_start;
-      if (metrics_on) scan_start = std::chrono::steady_clock::now();
-      const int k = static_cast<int>(std::min<std::size_t>(
-          initial_block, static_cast<std::size_t>(uflat->live() - 1)));
-      const int scan_workers =
+      top.clear();
+      const DistEntry* list = round_lists.data() + t * round_k;
+      for (int e = 0; e < round_counts[t]; ++e) {
+        if (InU(state[list[e].index])) top.push_back(list[e]);
+      }
+      const int fallback_workers =
           static_cast<std::int64_t>(uflat->live()) * p >= kScanMinParallelUnits
               ? threads
               : 1;
-      uflat->ScanTopK(cx, /*exclude=*/c, k, scan_workers, &top);
-      if (metrics_on) scan_accum_ms += MsSince(scan_start);
-      ResidentNeighborView neighbors(uflat.get(), c, &top, &entries,
-                                     initial_block,
+      ResidentNeighborView neighbors(uflat.get(), cx, c, fallback_workers,
+                                     &top, &entries, initial_block,
                                      metrics_on ? &fallback_accum_ms : nullptr);
       run_candidate(neighbors);
       for (int idx : removed_now) uflat->Remove(idx);
@@ -675,10 +754,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
     using metrics::CorePhaseHistogram;
     CorePhaseHistogram("rdgbg_fit")->Observe(MsSince(fit_start));
     CorePhaseHistogram("rdgbg_rconf")->Observe(rconf_accum_ms);
-    if (uflat != nullptr) {
-      CorePhaseHistogram("rdgbg_scan")->Observe(scan_accum_ms);
-      CorePhaseHistogram("rdgbg_fallback")->Observe(fallback_accum_ms);
-    }
+    CorePhaseHistogram("rdgbg_scan")->Observe(scan_accum_ms);
+    CorePhaseHistogram("rdgbg_fallback")->Observe(fallback_accum_ms);
   }
   return result;
 }

@@ -18,9 +18,17 @@ namespace {
 // low intrinsic dimension (BM_RdGbgStructured, n=20k, 1 thread: flat
 // 1.2× ahead of the KD-tree at d=8, 1.9× at d=16), so no tier reads the
 // data's structure.
+// The d<=2 floor was re-measured against the round pass
+// (simd::SquaredTopK) on the S5 banana generator, median of 9 fits per
+// side (4-core AVX-512 VM; `rdgbg_d2_sweep` in BENCH_pr23.json at the
+// repo root). flat/tree at 1 and 2 threads: 0.76/0.81 at n = 500,
+// 0.82/0.86 at 1 000, 0.95/0.93 at 1 500, 1.07/1.07 at 2 000, 1.15/1.12
+// at 3 000, 1.24/1.29 at 4 000 and 2.5 at 16 000. So the tree takes
+// over from 2 000 points, and banana's 4 001 training rows fit through
+// it.
 constexpr int kRdGbgTreeMaxDimsLow = 2;    // KD-tree from kRdGbgTreeMinPoints
 constexpr int kRdGbgTreeMaxDimsHigh = 4;   // KD-tree from kRdGbgTreeBigPoints
-constexpr int kRdGbgTreeMinPoints = 4096;
+constexpr int kRdGbgTreeMinPoints = 2000;
 constexpr int kRdGbgTreeBigPoints = 16384;
 constexpr int kRdGbgTreeMaxThreads = 4;  // for the d<=4 tier only
 // GB-kNN center scan, against the fused SIMD top-k scan (4-core AVX-512

@@ -1,8 +1,10 @@
 #include "index/knn_index.h"
 
-#include <memory>
+#include <algorithm>
+#include <utility>
 
 #include "index/index_strategy.h"
+#include "simd/simd.h"
 
 namespace gbx {
 
@@ -23,14 +25,13 @@ std::vector<SquaredNeighbor> FlatKNearestSquared(const SoaMatrix& rows,
   const int eligible = exclude >= 0 && exclude < n ? n - 1 : n;
   k = std::min(k, eligible);
   if (k <= 0) return {};
-  const auto dist = std::make_unique_for_overwrite<double[]>(n);
-  std::vector<SquaredNeighbor> heap;
-  heap.reserve(k);
-  ScanKNearest(
-      query, rows, 0, n, k, [exclude](int row) { return row != exclude; },
-      dist.get(), &heap);
-  std::sort_heap(heap.begin(), heap.end());
-  return heap;
+  std::vector<std::pair<double, int>> top(k);
+  int count = 0;
+  simd::SquaredTopK(&query, 1, rows, /*live=*/nullptr, &exclude, 0, n, k,
+                    top.data(), &count);
+  std::vector<SquaredNeighbor> out(count);
+  for (int i = 0; i < count; ++i) out[i] = {top[i].first, top[i].second};
+  return out;
 }
 
 std::vector<SquaredNeighbor> KnnIndex::KNearestSquared(const double* query,

@@ -1,7 +1,6 @@
 // The result types and exactness helpers every nearest-neighbor search
-// shares: the dynamic trees, KnnIndex and the flat scan loop
-// (ScanKNearest) behind it and RD-GBG. Indexes are non-owning views over
-// a Matrix whose lifetime must exceed the index.
+// shares: the dynamic trees, KnnIndex and RD-GBG. Indexes are non-owning
+// views over a Matrix whose lifetime must exceed the index.
 #ifndef GBX_INDEX_NEIGHBOR_INDEX_H_
 #define GBX_INDEX_NEIGHBOR_INDEX_H_
 

@@ -192,5 +192,24 @@ int SurfaceTopK(const double* q, const SoaMatrix& centers, const double* radii,
   return ActiveOps()->surface_top_k(q, centers, radii, begin, end, k, out);
 }
 
+void SquaredTopK(const double* const* queries, int num_queries,
+                 const SoaMatrix& rows, const std::uint8_t* live,
+                 const int* exclude, int begin, int end, int k,
+                 std::pair<double, int>* out, int* counts) {
+  if (k <= 0 || begin >= end) {
+    std::fill(counts, counts + num_queries, 0);
+    return;
+  }
+  const Ops* ops = ActiveOps();
+  for (int g = 0; g < num_queries; g += ops->squared_top_k_queries) {
+    ops->squared_top_k(queries + g,
+                       std::min(ops->squared_top_k_queries, num_queries - g),
+                       rows, live, exclude + g, begin, end, k,
+                       out + static_cast<std::size_t>(g) * k, counts + g);
+  }
+}
+
+int SquaredTopKQueriesPerPass() { return ActiveOps()->squared_top_k_queries; }
+
 }  // namespace simd
 }  // namespace gbx

@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <utility>
 
@@ -29,6 +31,12 @@ struct Ops {
   int (*surface_top_k)(const double* q, const SoaMatrix& centers,
                        const double* radii, int begin, int end, int k,
                        std::pair<double, int>* out);
+  /// One pass of SquaredTopK over at most squared_top_k_queries queries.
+  void (*squared_top_k)(const double* const* queries, int num_queries,
+                        const SoaMatrix& rows, const std::uint8_t* live,
+                        const int* exclude, int begin, int end, int k,
+                        std::pair<double, int>* out, int* counts);
+  int squared_top_k_queries;
 };
 
 /// Null when the level is not compiled into this binary.
@@ -78,6 +86,7 @@ inline double RowSurfaceScore(const double* q, const SoaMatrix& m,
 /// Offer maps a NaN score to +inf (simd.h) and compares whole pairs.
 class TopK {
  public:
+  TopK() = default;
   TopK(int k, std::pair<double, int>* out) : k_(k), out_(out) {}
 
   int count() const { return count_; }
@@ -102,16 +111,54 @@ class TopK {
   }
 
  private:
-  int k_;
-  std::pair<double, int>* out_;
+  int k_ = 0;
+  std::pair<double, int>* out_ = nullptr;
   int count_ = 0;
 };
+
+/// Bit l set when live[l] != 0, for the 8 live bytes of one SoA block
+/// (little-endian byte order, as on every supported ISA).
+inline unsigned LiveBlockMask(const std::uint8_t* live) {
+  static_assert(kSoaBlock == 8, "one 64-bit word per block");
+  std::uint64_t v;
+  std::memcpy(&v, live, sizeof(v));
+  // Fold each byte onto its low bit, then gather the 8 low bits into the
+  // top byte: every product term lands on a distinct bit, so no carry.
+  v |= v >> 4;
+  v |= v >> 2;
+  v |= v >> 1;
+  v &= 0x0101010101010101ULL;
+  return static_cast<unsigned>((v * 0x0102040810204080ULL) >> 56);
+}
+
+/// SquaredTopK's row step, shared by every level's head and tail rows
+/// and by the scalar row loop: offers a live row to each query that does
+/// not exclude it.
+inline void OfferRowSquared(const double* const* queries, int num_queries,
+                            const SoaMatrix& rows, const std::uint8_t* live,
+                            const int* exclude, int row, TopK* top) {
+  if (live != nullptr && live[row] == 0) return;
+  for (int g = 0; g < num_queries; ++g) {
+    if (row != exclude[g]) {
+      top[g].Offer(RowSquaredDistance(queries[g], rows, row), row);
+    }
+  }
+}
 
 /// SurfaceTopK row by row through TopK: the scalar level's kernel, and
 /// the one NEON serves.
 int SurfaceTopKRows(const double* q, const SoaMatrix& centers,
                     const double* radii, int begin, int end, int k,
                     std::pair<double, int>* out);
+
+/// SquaredTopK row by row: the scalar level's pass, and the one NEON
+/// serves. It holds no per-query registers, so its pass width only
+/// bounds the TopK array on the stack.
+constexpr int kRowsQueriesPerPass = 8;
+void SquaredTopKRows(const double* const* queries, int num_queries,
+                     const SoaMatrix& rows, const std::uint8_t* live,
+                     const int* exclude, int begin, int end, int k,
+                     std::pair<double, int>* out, int* counts);
 
 }  // namespace internal
 }  // namespace simd

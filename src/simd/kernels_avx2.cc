@@ -12,7 +12,9 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <utility>
 
 namespace gbx {
 namespace simd {
@@ -154,11 +156,100 @@ int SurfaceTopKAvx2(const double* q, const SoaMatrix& centers,
   return top.count();
 }
 
+// Queries per SquaredTopK pass: two accumulator registers each (a
+// block is two 4-lane halves), beside two row loads and a difference,
+// inside the 16 ymm registers.
+constexpr int kTopKQueries = 4;
+
+// One SquaredTopK pass over kQ queries; kernels_avx512.cc's
+// SquaredTopKPass with each block split into two 4-row halves.
+template <int kQ>
+void SquaredTopKPass(const double* const* queries, const SoaMatrix& rows,
+                     const std::uint8_t* live, const int* exclude, int begin,
+                     int end, int k, std::pair<double, int>* out,
+                     int* counts) {
+  TopK top[kQ];
+  const double* q[kQ];
+  for (int g = 0; g < kQ; ++g) {
+    top[g] = TopK(k, out + static_cast<std::size_t>(g) * k);
+    q[g] = queries[g];
+  }
+  const int d = rows.cols();
+  int i = begin;
+  for (; i < end && i % kSoaBlock != 0; ++i) {
+    OfferRowSquared(queries, kQ, rows, live, exclude, i, top);
+  }
+  alignas(32) double lanes[kSoaBlock];
+  for (; i + kSoaBlock <= end; i += kSoaBlock) {
+    const unsigned alive = live != nullptr ? LiveBlockMask(live + i) : 0xFF;
+    if (alive == 0) continue;
+    const double* block = BlockBase(rows, i);
+    __m256d acc0[kQ];
+    __m256d acc1[kQ];
+    for (int g = 0; g < kQ; ++g) acc0[g] = acc1[g] = _mm256_setzero_pd();
+    for (int j = 0; j < d; ++j) {
+      const double* col = block + static_cast<std::size_t>(j) * kSoaBlock;
+      const __m256d x0 = _mm256_loadu_pd(col);
+      const __m256d x1 = _mm256_loadu_pd(col + 4);
+      for (int g = 0; g < kQ; ++g) {
+        const __m256d qj = _mm256_set1_pd(q[g][j]);
+        const __m256d d0 = _mm256_sub_pd(qj, x0);
+        const __m256d d1 = _mm256_sub_pd(qj, x1);
+        acc0[g] = _mm256_add_pd(acc0[g], _mm256_mul_pd(d0, d0));
+        acc1[g] = _mm256_add_pd(acc1[g], _mm256_mul_pd(d1, d1));
+      }
+    }
+    for (int g = 0; g < kQ; ++g) {
+      unsigned pass = alive;
+      const unsigned lane = static_cast<unsigned>(exclude[g] - i);
+      if (lane < kSoaBlock) pass &= ~(1u << lane);
+      if (top[g].full()) {
+        const __m256d thr = _mm256_set1_pd(top[g].threshold());
+        pass &= static_cast<unsigned>(
+            _mm256_movemask_pd(_mm256_cmp_pd(acc0[g], thr, _CMP_LT_OQ)) |
+            (_mm256_movemask_pd(_mm256_cmp_pd(acc1[g], thr, _CMP_LT_OQ))
+             << 4));
+      }
+      if (pass == 0) continue;
+      _mm256_store_pd(lanes, acc0[g]);
+      _mm256_store_pd(lanes + 4, acc1[g]);
+      for (; pass != 0; pass &= pass - 1) {
+        const int l = __builtin_ctz(pass);
+        top[g].Offer(lanes[l], i + l);
+      }
+    }
+  }
+  for (; i < end; ++i) {
+    OfferRowSquared(queries, kQ, rows, live, exclude, i, top);
+  }
+  for (int g = 0; g < kQ; ++g) counts[g] = top[g].count();
+}
+
+using SquaredTopKPassFn = decltype(&SquaredTopKPass<1>);
+
+template <int... kI>
+constexpr std::array<SquaredTopKPassFn, sizeof...(kI)> SquaredTopKPasses(
+    std::integer_sequence<int, kI...>) {
+  return {&SquaredTopKPass<kI + 1>...};
+}
+
+void SquaredTopKAvx2(const double* const* queries, int num_queries,
+                     const SoaMatrix& rows, const std::uint8_t* live,
+                     const int* exclude, int begin, int end, int k,
+                     std::pair<double, int>* out, int* counts) {
+  static constexpr auto kPasses =
+      SquaredTopKPasses(std::make_integer_sequence<int, kTopKQueries>());
+  kPasses[num_queries - 1](queries, rows, live, exclude, begin, end, k, out,
+                           counts);
+}
+
 const Ops kAvx2Ops = {
     SquaredDistanceBatchAvx2,
     MinSurfaceGapAvx2,
     SurfaceScoresAvx2,
     SurfaceTopKAvx2,
+    SquaredTopKAvx2,
+    kTopKQueries,
 };
 
 }  // namespace

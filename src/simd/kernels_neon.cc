@@ -113,9 +113,11 @@ const Ops kNeonOps = {
     SquaredDistanceBatchNeon,
     MinSurfaceGapNeon,
     SurfaceScoresNeon,
-    // No aarch64 build has run the top-k oracle yet, so NEON selects
-    // through the scalar row loop.
+    // No aarch64 build has run the top-k oracles yet, so NEON selects
+    // through the scalar row loops.
     SurfaceTopKRows,
+    SquaredTopKRows,
+    kRowsQueriesPerPass,
 };
 
 }  // namespace

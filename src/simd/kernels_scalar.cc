@@ -43,6 +43,8 @@ const Ops kScalarOps = {
     MinSurfaceGapScalar,
     SurfaceScoresScalar,
     SurfaceTopKRows,
+    SquaredTopKRows,
+    kRowsQueriesPerPass,
 };
 
 }  // namespace
@@ -57,6 +59,20 @@ int SurfaceTopKRows(const double* q, const SoaMatrix& centers,
     top.Offer(RowSurfaceScore(q, centers, radii, i), i);
   }
   return top.count();
+}
+
+void SquaredTopKRows(const double* const* queries, int num_queries,
+                     const SoaMatrix& rows, const std::uint8_t* live,
+                     const int* exclude, int begin, int end, int k,
+                     std::pair<double, int>* out, int* counts) {
+  TopK top[kRowsQueriesPerPass];
+  for (int g = 0; g < num_queries; ++g) {
+    top[g] = TopK(k, out + static_cast<std::size_t>(g) * k);
+  }
+  for (int i = begin; i < end; ++i) {
+    OfferRowSquared(queries, num_queries, rows, live, exclude, i, top);
+  }
+  for (int g = 0; g < num_queries; ++g) counts[g] = top[g].count();
 }
 
 }  // namespace internal

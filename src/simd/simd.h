@@ -1,8 +1,9 @@
-// Batched flat-scan kernels behind a runtime dispatch shim. The four
-// kernels cover the system's distance-dominated hot loops — RD-GBG's
-// per-candidate squared-distance fill, the Eq.-4 conflict-radius
-// (r_conf) gap scan, and GB-kNN's surface-score scan and fused top-k
-// selection — each streaming a
+// Batched flat-scan kernels behind a runtime dispatch shim. The five
+// kernels cover the system's distance-dominated hot loops — the fused
+// multi-query k-nearest scan behind RD-GBG's candidate rounds and
+// KnnIndex, the squared-distance fill of RD-GBG's deep-read fallback,
+// the Eq.-4 conflict-radius (r_conf) gap scan, and GB-kNN's
+// surface-score scan and fused top-k selection — each streaming a
 // SoaMatrix (common/matrix.h) so one vector register holds the same
 // coordinate of kSoaBlock rows.
 //
@@ -34,6 +35,7 @@
 #ifndef GBX_SIMD_SIMD_H_
 #define GBX_SIMD_SIMD_H_
 
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -113,6 +115,31 @@ void SurfaceScores(const double* q, const SoaMatrix& centers,
 /// needs min(k, end - begin) slots; nothing m-sized is allocated.
 int SurfaceTopK(const double* q, const SoaMatrix& centers, const double* radii,
                 int begin, int end, int k, std::pair<double, int>* out);
+
+/// The fused multi-query k-nearest scan. For each query g in
+/// [0, num_queries): the min(k, eligible) smallest (squared distance,
+/// row) pairs over the eligible rows of [begin, end) — rows with
+/// live == nullptr or live[row] != 0, other than exclude[g] (-1
+/// excludes nothing) — written to out[g*k ..) in ascending (dist2, row)
+/// order, with their count in counts[g]. Each distance is bit-identical
+/// to SquaredDistance(queries[g], row, d), so the lists are
+/// partial_sort over those pairs; a NaN distance ranks and reports as
+/// +infinity, as in SurfaceTopK. The queries run in passes of
+/// SquaredTopKQueriesPerPass(): a pass loads each block once for all of
+/// its queries, masks dead and excluded lanes, and compares each
+/// query's block against that query's current k-th distance in
+/// registers, so only the rows below it reach the query's sorted
+/// buffer. `out` needs num_queries * k slots and `counts` num_queries;
+/// nothing m-sized is allocated.
+void SquaredTopK(const double* const* queries, int num_queries,
+                 const SoaMatrix& rows, const std::uint8_t* live,
+                 const int* exclude, int begin, int end, int k,
+                 std::pair<double, int>* out, int* counts);
+
+/// Queries per SquaredTopK pass at the active level, fixed per level by
+/// its register count: 12 on AVX-512, 4 on AVX2, 8 for the scalar row
+/// loop (scalar and NEON).
+int SquaredTopKQueriesPerPass();
 
 }  // namespace simd
 }  // namespace gbx

@@ -38,11 +38,11 @@ TEST(ResolveRdGbgTest, ExplicitRequestsPassThrough) {
   }
 }
 
-TEST(ResolveRdGbgTest, UnconditionalKdTiersMatchPr4) {
-  // d<=2 from 4096 points at any thread count.
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 4096, 2, 64),
+TEST(ResolveRdGbgTest, UnconditionalKdTiers) {
+  // d<=2 from 2000 points at any thread count.
+  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 2000, 2, 64),
             IndexStrategy::kTree);
-  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 4095, 2, 1),
+  EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 1999, 2, 1),
             IndexStrategy::kFlat);
   // d<=4 from 16384 points, up to 4 workers.
   EXPECT_EQ(ResolveRdGbgIndexStrategy(IndexStrategy::kAuto, 16384, 4, 4),

@@ -1,13 +1,17 @@
 #include "core/rd_gbg.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "core/gb_io.h"
+#include "simd/simd.h"
 #include "data/noise.h"
 #include "data/paper_suite.h"
 #include "data/synthetic.h"
@@ -290,12 +294,13 @@ TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {
   }
 }
 
-// The flat strategy serves a candidate's K = max(rho, 32) nearest
-// neighbors from one fused distance + top-K scan over a resident copy of
-// U, falls back to a full lazily sorted fill when a candidate reads past
-// them, and compacts the copy once half of U has left. Both datasets
-// below drive those paths; the result must equal the KD-tree's bit for
-// bit at every thread count.
+// The flat strategy serves each candidate's K = max(rho, 32) nearest
+// neighbors from one fused top-K pass per round over a resident copy of
+// U, drops the entries earlier candidates of the round removed, falls
+// back to a fresh, lazily sorted full pass when a candidate reads past
+// what is left, and compacts the copy once half of U has left. The
+// datasets below drive those paths; the result must equal the KD-tree's
+// bit for bit at every thread count.
 std::string Fingerprint(const RdGbgResult& result) {
   std::string text = GranularBallsToString(result.balls) + "noise";
   for (int idx : result.noise_indices) text += ' ' + std::to_string(idx);
@@ -373,6 +378,69 @@ TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
   }
   EXPECT_GE(2 * departed, ds.size());
   EXPECT_GT(result.iterations, 2);
+}
+
+// Candidates of one round whose neighborhoods overlap: K clusters in
+// which every class is present, so an earlier candidate's ball or noise
+// removal takes samples out of a later candidate's round-start list.
+Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
+  const int clusters = 5;
+  Pcg32 rng(seed);
+  Matrix centers(clusters, dims);
+  for (int c = 0; c < clusters; ++c) {
+    for (int j = 0; j < dims; ++j) centers.At(c, j) = 6.0 * rng.NextDouble();
+  }
+  Matrix x(n, dims);
+  std::vector<int> labels;
+  for (int i = 0; i < n; ++i) {
+    const int c = static_cast<int>(rng.NextBounded(clusters));
+    for (int j = 0; j < dims; ++j) {
+      x.At(i, j) = centers.At(c, j) + 0.4 * rng.NextGaussian();
+    }
+    // Mostly the cluster's own class, the rest spread over the others.
+    labels.push_back(rng.NextDouble() < 0.85
+                         ? c % classes
+                         : static_cast<int>(rng.NextBounded(classes)));
+  }
+  return Dataset(std::move(x), std::move(labels));
+}
+
+TEST(RdGbgFlatScanTest, InRoundRemovalsMatchTreeAtEveryLevel) {
+  // The small d = 2 sets put a round's candidates close together, so a
+  // removed entry often sits among a later candidate's nearest few, where
+  // serving it would change the decision. d = 72 puts n·p times the
+  // round's candidates above the parallel threshold, so the round lists
+  // also merge across workers.
+  const char* prev = std::getenv("GBX_SIMD");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (const auto& [dims, n] :
+       {std::pair{2, 300}, std::pair{2, 800}, std::pair{72, 1000}}) {
+    const Dataset ds = MixedClusters(n, dims, 4, 8103 + dims);
+    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
+                              simd::Level::kAvx512}) {
+      if (!simd::Supported(level)) continue;
+      ::setenv("GBX_SIMD", simd::LevelName(level), 1);
+      simd::ReresolveFromEnvForTest();
+      SCOPED_TRACE("n " + std::to_string(n) + " dims " +
+                   std::to_string(dims) + " level " + simd::LevelName(level));
+      for (std::uint64_t seed : {4, 5}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
+        int members = 0;
+        for (const GranularBall& ball : result.balls.balls()) {
+          if (ball.size() > 1) members += ball.size();
+        }
+        EXPECT_GE(members, n / 40);
+        EXPECT_GT(result.noise_indices.size(), 0u);
+      }
+    }
+  }
+  if (prev != nullptr) {
+    ::setenv("GBX_SIMD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("GBX_SIMD");
+  }
+  simd::ReresolveFromEnvForTest();
 }
 
 }  // namespace

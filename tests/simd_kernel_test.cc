@@ -496,6 +496,188 @@ TEST_F(SimdKernelOracleTest, SurfaceTopKInfinitiesAndNaN) {
   }
 }
 
+// The fused multi-query k-nearest oracle: per query, partial_sort over
+// the (squared distance, row) pairs of the live rows in range other
+// than its excluded row, with a NaN distance ranking and reporting as
+// +inf. Cases: random rows; rows that repeat three points, so exact
+// ties run across lanes and blocks; and rows and queries with +-inf and
+// NaN coordinates.
+struct MultiCase {
+  int n;
+  int d;
+  Matrix rows;
+  SoaMatrix soa;
+  Matrix queries;  // kMaxQueries rows
+};
+
+constexpr int kMaxQueries = 17;
+enum class RowKind { kRandom, kDuplicates, kSpecials };
+
+MultiCase MakeMultiCase(int n, int d, RowKind kind, std::uint64_t seed) {
+  MultiCase c{n, d, Matrix(n, d, 0.0), SoaMatrix(d),
+              Matrix(kMaxQueries, d, 0.0)};
+  Pcg32 rng(seed);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < d; ++j) {
+      c.rows.Row(i)[j] = kind == RowKind::kDuplicates && i >= 3
+                             ? c.rows.Row(i % 3)[j]
+                             : rng.NextGaussian();
+    }
+  }
+  for (int g = 0; g < kMaxQueries; ++g) {
+    // Every third query sits on a row, so its own row ties at 0.
+    for (int j = 0; j < d; ++j) {
+      c.queries.Row(g)[j] =
+          g % 3 == 0 ? c.rows.Row((g * 11) % n)[j] : rng.NextGaussian() * 2;
+    }
+  }
+  if (kind == RowKind::kSpecials) {
+    for (int i = 0; i < n; i += 5) c.rows.Row(i)[i % d] = Opaque(kNan);
+    for (int i = 2; i < n; i += 7) c.rows.Row(i)[(i + 1) % d] = Opaque(kInf);
+    for (int i = 4; i < n; i += 9) c.rows.Row(i)[0] = Opaque(-kInf);
+    c.queries.Row(1)[0] = Opaque(kInf);  // inf - inf = NaN vs the inf rows
+    c.queries.Row(4)[d - 1] = Opaque(kNan);  // every distance NaN
+  }
+  for (int i = 0; i < n; ++i) c.soa.AppendRow(c.rows.Row(i));
+  return c;
+}
+
+::testing::AssertionResult SquaredTopKMatches(const MultiCase& c, int nq,
+                                              const std::uint8_t* live,
+                                              const std::vector<int>& exclude,
+                                              int begin, int end, int k) {
+  std::vector<const double*> queries(nq);
+  for (int g = 0; g < nq; ++g) queries[g] = c.queries.Row(g);
+  const std::pair<double, int> canary(-7777.25, -1);
+  std::vector<std::pair<double, int>> got(
+      static_cast<std::size_t>(nq) * k + 1, canary);
+  std::vector<int> counts(nq, -1);
+  SquaredTopK(queries.data(), nq, c.soa, live, exclude.data(), begin, end, k,
+              got.data(), counts.data());
+  for (int g = 0; g < nq; ++g) {
+    std::vector<std::pair<double, int>> want;
+    for (int i = begin; i < end; ++i) {
+      if ((live != nullptr && live[i] == 0) || i == exclude[g]) continue;
+      const double d2 = RefSquaredDistance(queries[g], c.rows.Row(i), c.d);
+      want.emplace_back(std::isnan(d2) ? kInf : d2, i);
+    }
+    const std::size_t kk = std::min<std::size_t>(k, want.size());
+    std::partial_sort(want.begin(), want.begin() + kk, want.end());
+    want.resize(kk);
+    if (counts[g] != static_cast<int>(kk)) {
+      return ::testing::AssertionFailure()
+             << "query " << g << ": count " << counts[g] << " want " << kk;
+    }
+    const std::pair<double, int>* list =
+        got.data() + static_cast<std::size_t>(g) * k;
+    for (std::size_t r = 0; r < kk; ++r) {
+      if (list[r].second != want[r].second ||
+          !BitSame(list[r].first, want[r].first)) {
+        return ::testing::AssertionFailure()
+               << "query " << g << " rank " << r << ": (" << list[r].first
+               << ", " << list[r].second << ") want (" << want[r].first
+               << ", " << want[r].second << ")";
+      }
+    }
+    for (int r = static_cast<int>(kk); r < k; ++r) {
+      if (list[r] != canary) {
+        return ::testing::AssertionFailure()
+               << "query " << g << " wrote past its list at " << r;
+      }
+    }
+  }
+  if (got.back() != canary) {
+    return ::testing::AssertionFailure() << "wrote past the last list";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(SimdKernelOracleTest, SquaredTopKMatchesPartialSort) {
+  ScopedSimdEnv env;
+  const int n = 75;  // 9 blocks and a 3-row tail
+  for (Level level : AllLevels()) {
+    if (!env.Force(level)) {
+      LogSkip(level);
+      continue;
+    }
+    const int width = SquaredTopKQueriesPerPass();
+    ASSERT_GE(width, 1);
+    for (int d : {1, 2, 3, 10, 256}) {
+      for (RowKind kind :
+           {RowKind::kRandom, RowKind::kDuplicates, RowKind::kSpecials}) {
+        const MultiCase c =
+            MakeMultiCase(n, d, kind, 0x70bULL * 1000003ULL + d * 31ULL +
+                                          static_cast<std::uint64_t>(kind));
+        // Null mask, all dead, alternating, and 1 in 5 dead.
+        std::vector<std::vector<std::uint8_t>> masks = {
+            {}, std::vector<std::uint8_t>(n, 0), {}, {}};
+        for (int i = 0; i < n; ++i) {
+          masks[2].push_back(i % 2);
+          masks[3].push_back(i % 5 == 2 ? 0 : 7);  // any nonzero is live
+        }
+        for (const std::vector<std::uint8_t>& mask : masks) {
+          const std::uint8_t* live = mask.empty() ? nullptr : mask.data();
+          // Whole range; ragged head and tail; a range inside one block.
+          for (auto [begin, end] : std::vector<std::pair<int, int>>{
+                   {0, n}, {3, n - 5}, {13, 61}, {17, 22}}) {
+            int eligible = 0;
+            for (int i = begin; i < end; ++i) {
+              eligible += live == nullptr || live[i] != 0;
+            }
+            for (int nq : {1, 2, 7, width, width + 1, kMaxQueries}) {
+              // Excludes: a row in the range (head, a block or the
+              // tail), none, or a row outside it.
+              std::vector<int> exclude(nq);
+              for (int g = 0; g < nq; ++g) {
+                exclude[g] =
+                    g % 4 == 3 ? -1 : (g % 4 == 2 ? end : (g * 11) % n);
+              }
+              for (int k : {1, 5, 32, std::max(eligible, 1), eligible + 3}) {
+                ASSERT_TRUE(SquaredTopKMatches(c, nq, live, exclude, begin,
+                                               end, k))
+                    << LevelName(level) << " d=" << d
+                    << " kind=" << static_cast<int>(kind)
+                    << " mask=" << (&mask - masks.data()) << " range=["
+                    << begin << "," << end << ") nq=" << nq << " k=" << k;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The documented NaN rule on a hand-built case: rows 0..3 lie at NaN,
+// +inf (a -inf coordinate), finite and NaN distances from the query and
+// rows 4..10 at +inf, so the top four read (2, 2), (+inf, 0), (+inf, 1),
+// (+inf, 3): NaN ties with +inf and yields to the lower row.
+TEST_F(SimdKernelOracleTest, SquaredTopKNaNRanksAsInfinity) {
+  ScopedSimdEnv env;
+  const int d = 2;
+  Matrix rows(11, d, 1.0);
+  rows.Row(0)[0] = Opaque(kNan);
+  rows.Row(1)[1] = Opaque(-kInf);
+  rows.Row(3)[1] = Opaque(kNan);
+  for (int i = 4; i < 11; ++i) rows.Row(i)[0] = Opaque(kInf);
+  SoaMatrix soa(d);
+  for (int i = 0; i < 11; ++i) soa.AppendRow(rows.Row(i));
+  const double q[d] = {0.0, 0.0};
+  const double* queries[1] = {q};
+  const int exclude[1] = {-1};
+  for (Level level : AllLevels()) {
+    if (!env.Force(level)) continue;
+    std::pair<double, int> top[4];
+    int count = 0;
+    SquaredTopK(queries, 1, soa, nullptr, exclude, 0, 11, 4, top, &count);
+    ASSERT_EQ(count, 4) << LevelName(level);
+    EXPECT_EQ(top[0], std::make_pair(2.0, 2)) << LevelName(level);
+    EXPECT_EQ(top[1], std::make_pair(kInf, 0)) << LevelName(level);
+    EXPECT_EQ(top[2], std::make_pair(kInf, 1)) << LevelName(level);
+    EXPECT_EQ(top[3], std::make_pair(kInf, 3)) << LevelName(level);
+  }
+}
+
 // All-NaN / all-inf stress: every row non-finite, so the whole vector
 // path (not just one poisoned lane) exercises IEEE propagation.
 TEST_F(SimdKernelOracleTest, NonFiniteEverywhere) {
@@ -609,6 +791,16 @@ TEST(SimdKernelEdgeTest, EmptyRangeContracts) {
   // An empty range or k <= 0 writes nothing and returns 0.
   EXPECT_EQ(SurfaceTopK(q, m, nullptr, 0, 0, 3, nullptr), 0);
   EXPECT_EQ(SurfaceTopK(q, m, nullptr, 0, 0, 0, nullptr), 0);
+  // SquaredTopK reports 0 per query for an empty range or k <= 0.
+  const double* queries[2] = {q, q};
+  const int exclude[2] = {-1, -1};
+  int counts[2] = {5, 5};
+  SquaredTopK(queries, 2, m, nullptr, exclude, 0, 0, 3, nullptr, counts);
+  EXPECT_EQ(counts[0], 0);
+  EXPECT_EQ(counts[1], 0);
+  counts[0] = counts[1] = 5;
+  SquaredTopK(queries, 2, m, nullptr, exclude, 0, 0, 0, nullptr, counts);
+  EXPECT_EQ(counts[0] + counts[1], 0);
 }
 
 }  // namespace
