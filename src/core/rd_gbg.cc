@@ -46,10 +46,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // Squared distance to a neighbor candidate. The (dist2, index) pair is a
-// strict total order, so any selection schedule — the resident scan's
-// top-K with its lazily sorted tail or the incremental KD-tree queries —
-// realizes the same sorted sequence, which is what keeps the strategy
-// knob bit-identical.
+// strict total order, so any selection schedule — the round pass's
+// filtered top-K with its lazily sorted tail or the incremental KD-tree
+// queries — realizes the same sorted sequence, which is what keeps the
+// strategy knob bit-identical.
 using DistEntry = SquaredNeighbor;
 
 // Lazily sorted prefix over a DistEntry array. The granulation scans
@@ -202,14 +202,16 @@ class ResidentU {
   /// The round pass: for every candidate t (a live sample), the k
   /// smallest (dist2, sample) entries among the other live samples,
   /// ascending, in lists[t*k, t*k + counts[t]). The slots split into
-  /// `workers` contiguous ranges, each scanned for all candidates at
-  /// once by one simd::SquaredTopK call. Because the order is strict and
-  /// total, the merged lists are the same for every split; the kernel
-  /// ranks slots, and slot order is sample order, so mapping slots to
-  /// samples afterwards keeps the (dist2, sample) order.
-  void RoundTopK(const std::vector<int>& candidates, int k, int workers,
+  /// contiguous ranges over up to `threads` workers, each range scanned
+  /// for all candidates at once by one simd::SquaredTopK call. Because
+  /// the order is strict and total, the merged lists are the same for
+  /// every split; the kernel ranks slots, and slot order is sample
+  /// order, so mapping slots to samples afterwards keeps the (dist2,
+  /// sample) order.
+  void RoundTopK(const std::vector<int>& candidates, int k, int threads,
                  std::vector<DistEntry>* lists, std::vector<int>* counts) {
     const int nq = static_cast<int>(candidates.size());
+    const int workers = PassWorkers(nq, threads);
     queries_.resize(nq);
     exclude_slots_.resize(nq);
     for (int t = 0; t < nq; ++t) {
@@ -249,9 +251,9 @@ class ResidentU {
   /// A fresh squared-distance pass from `q` over every slot, then every
   /// live entry but `exclude`'s, unsorted — the input of a candidate's
   /// deep-read fallback.
-  void FillAll(const double* q, int exclude, int workers,
+  void FillAll(const double* q, int exclude, int threads,
                std::vector<DistEntry>* out) {
-    ForEachRange(workers, [&](int, int lo, int hi) {
+    ForEachRange(PassWorkers(1, threads), [&](int, int lo, int hi) {
       simd::SquaredDistanceBatch(q, rows_, lo, hi, dist_.data());
     });
     const int slots = rows_.rows();
@@ -265,6 +267,15 @@ class ResidentU {
   }
 
  private:
+  // A pass over the live rows for `queries` queries takes the pool's
+  // `threads` workers once it covers kScanMinParallelUnits.
+  int PassWorkers(int queries, int threads) const {
+    return static_cast<std::int64_t>(live_count_) * rows_.cols() * queries >=
+                   kScanMinParallelUnits
+               ? threads
+               : 1;
+  }
+
   // Runs fn(w, lo, hi) for `workers` contiguous slot ranges over the pool.
   template <typename Fn>
   void ForEachRange(int workers, const Fn& fn) {
@@ -306,13 +317,13 @@ class ResidentU {
 class ResidentNeighborView {
  public:
   ResidentNeighborView(ResidentU* u, const double* query, int exclude,
-                       int workers, const std::vector<DistEntry>* top,
+                       int threads, const std::vector<DistEntry>* top,
                        std::vector<DistEntry>* storage,
                        std::size_t initial_block, double* fallback_ms)
       : u_(u),
         query_(query),
         exclude_(exclude),
-        workers_(workers),
+        threads_(threads),
         top_(top),
         storage_(storage),
         m_(static_cast<std::size_t>(u->live() - 1)),
@@ -336,7 +347,7 @@ class ResidentNeighborView {
     if (!lazy_.has_value()) {
       // The filtered prefix has already been read, so the first block
       // doubles the round pass's list length.
-      u_->FillAll(query_, exclude_, workers_, storage_);
+      u_->FillAll(query_, exclude_, threads_, storage_);
       lazy_.emplace(storage_, 2 * initial_block_);
     }
     const DistEntry& entry = (*lazy_)[i];
@@ -347,7 +358,7 @@ class ResidentNeighborView {
   ResidentU* u_;
   const double* query_;
   int exclude_;
-  int workers_;  // for the fallback's distance pass
+  int threads_;  // for the fallback's distance pass
   const std::vector<DistEntry>* top_;
   std::vector<DistEntry>* storage_;
   std::size_t m_;
@@ -531,11 +542,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
       if (metrics_on) scan_start = std::chrono::steady_clock::now();
       round_k = static_cast<int>(std::min<std::size_t>(
           initial_block, static_cast<std::size_t>(uflat->live() - 1)));
-      const std::int64_t units = static_cast<std::int64_t>(uflat->live()) *
-                                 p * static_cast<std::int64_t>(candidates.size());
-      uflat->RoundTopK(candidates, round_k,
-                       units >= kScanMinParallelUnits ? threads : 1,
-                       &round_lists, &round_counts);
+      uflat->RoundTopK(candidates, round_k, threads, &round_lists,
+                       &round_counts);
       if (metrics_on) scan_accum_ms += MsSince(scan_start);
     }
 
@@ -720,12 +728,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
       for (int e = 0; e < round_counts[t]; ++e) {
         if (InU(state[list[e].index])) top.push_back(list[e]);
       }
-      const int fallback_workers =
-          static_cast<std::int64_t>(uflat->live()) * p >= kScanMinParallelUnits
-              ? threads
-              : 1;
-      ResidentNeighborView neighbors(uflat.get(), cx, c, fallback_workers,
-                                     &top, &entries, initial_block,
+      ResidentNeighborView neighbors(uflat.get(), cx, c, threads, &top,
+                                     &entries, initial_block,
                                      metrics_on ? &fallback_accum_ms : nullptr);
       run_candidate(neighbors);
       for (int idx : removed_now) uflat->Remove(idx);

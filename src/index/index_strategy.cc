@@ -21,9 +21,9 @@ namespace {
 // The d<=2 floor was re-measured against the round pass
 // (simd::SquaredTopK) on the S5 banana generator, median of 9 fits per
 // side (4-core AVX-512 VM; `rdgbg_d2_sweep` in BENCH_pr23.json at the
-// repo root). flat/tree at 1 and 2 threads: 0.76/0.81 at n = 500,
-// 0.82/0.86 at 1 000, 0.95/0.93 at 1 500, 1.07/1.07 at 2 000, 1.15/1.12
-// at 3 000, 1.24/1.29 at 4 000 and 2.5 at 16 000. So the tree takes
+// repo root). flat/tree at 1 and 2 threads: 0.75/0.73 at n = 500,
+// 0.85/0.83 at 1 000, 0.93/0.93 at 1 500, 1.05/1.06 at 2 000, 1.10/1.15
+// at 3 000, 1.29/1.26 at 4 000 and 2.3 at 16 000. So the tree takes
 // over from 2 000 points, and banana's 4 001 training rows fit through
 // it.
 constexpr int kRdGbgTreeMaxDimsLow = 2;    // KD-tree from kRdGbgTreeMinPoints
@@ -58,7 +58,10 @@ constexpr int kCenterTreeMinBalls = 2048;
 // scan leads on every other set by 1.3-3.8x, least on S11 at d = 9
 // (9.7 us against 12.9) and S3 at d = 6 (3.6 against 6.3). The flat
 // arm is FlatKNearestSquared, KnnIndex's own query, allocation
-// included. No set has 3 <= d <= 5, where
+// included. Re-run with that arm as one simd::SquaredTopK query
+// (knn_index_paper_suite in BENCH_pr23.json), the tree still leads only
+// on S5 (1.1 us against 4.1), and the flat arm takes 0.16-0.49x the
+// tree arm's time on the other 12 sets. No set has 3 <= d <= 5, where
 // BM_KnnIndexForcedTreeQuery's well-separated Gaussian blobs have the
 // tree ahead; blobs like those misled the center tiers before (ROADMAP).
 constexpr int kKnnTreeMaxDims = 2;
