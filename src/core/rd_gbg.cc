@@ -485,7 +485,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   // member) is tombstoned, and the structure rebuilds itself once the
   // tombstones reach half of it. kFlat scans a resident copy of U's
   // rows, kTree prunes with axis-aligned boxes, kBallTree with the
-  // triangle inequality (better at moderate dimensionality).
+  // triangle inequality (a forced choice; kAuto never picks it).
   const IndexStrategy strategy =
       ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads);
   std::unique_ptr<DynamicKdTree> utree;

@@ -53,10 +53,10 @@ struct RdGbgConfig {
   /// tombstoned copy of U's rows (falling back to a full lazily sorted
   /// fill only for a candidate that reads past its K = max(rho, 32)
   /// nearest), kTree a DynamicKdTree that follows the U-set with
-  /// tombstone deletions (asymptotically cheaper from ~4k samples in
-  /// indexable dimensionality), kBallTree a metric ball-tree whose
-  /// triangle-inequality pruning extends tree wins to moderate
-  /// dimensionality, kAuto picks by n, dims and the worker count
+  /// tombstone deletions (ahead of the flat scan only at d <= 2 from 2k
+  /// samples, or d <= 4 from ~16k), kBallTree a metric ball-tree with
+  /// triangle-inequality pruning (never ahead on a measured row, so
+  /// forced only), kAuto picks by n, dims and the worker count
   /// (index/index_strategy.h). The conflict-radius pass ignores the
   /// knob: it is always the fused flat gap scan over the generated
   /// balls. Every strategy consumes the identical (dist2, index)-ordered

@@ -48,9 +48,10 @@
 // visits and index ties survive. Box pruning (min distance to the box,
 // not just to the split plane) is meant to keep exact k-NN competitive
 // at d ~ 8-16; axis boxes collapse under distance concentration, where
-// a covering ball follows the points' actual spread and keeps pruning —
-// that is what raises the IndexStrategy crossover dimension (see
-// index_strategy.cc). On a tree without tombstones the plane-only walk
+// a covering ball follows the points' actual spread and keeps pruning.
+// On the measured rows the fused flat scan still wins past d = 4, so
+// IndexStrategy's kAuto picks only the KD-tree, at low d, and never the
+// ball tree (see index_strategy.cc). On a tree without tombstones the plane-only walk
 // measured faster from d = 2 to 256 (BENCH_pr22.json, tree_walk), so
 // it runs there: every KnnIndex tree query and 0.02-14 % of RD-GBG's.
 //

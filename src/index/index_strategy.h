@@ -35,7 +35,7 @@ bool ParseIndexStrategy(const std::string& text, IndexStrategy* out);
 
 /// Resolution for RD-GBG's per-candidate neighbor pass over the shrinking
 /// undivided set, from (n, dims, num_threads) alone: KD-tree at d<=2 from
-/// ~4k samples; at d<=4 from ~16k but only up to 4 worker threads,
+/// 2k samples; at d<=4 from ~16k but only up to 4 worker threads,
 /// because the flat scan it replaces parallelizes over the pool while a
 /// tree query is serial; the fused flat scan everywhere else.
 /// Thresholds in index_strategy.cc. `num_threads` is the resolved worker

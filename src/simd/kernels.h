@@ -1,10 +1,11 @@
 // Internal: per-ISA kernel tables and the shared scalar row helpers.
 // Each kernels_<isa>.cc translation unit compiles unconditionally; when
 // its ISA macro is absent (wrong arch, or the compiler lacks the flag)
-// the TU exports a null table and dispatch skips the level. The scalar
-// helpers live here so every level's partial-block (head/tail) path is
-// literally the same code as the scalar reference — one definition, no
-// drift.
+// the TU exports a null table and dispatch skips the level. The AVX2
+// and AVX-512 TUs instantiate one set of bodies, kernels_block.h; the
+// scalar reference and NEON are written out. The scalar row helpers
+// live here so every level's partial-block (head/tail) path is the same
+// source as the scalar reference — one definition, no drift.
 #ifndef GBX_SIMD_KERNELS_H_
 #define GBX_SIMD_KERNELS_H_
 
@@ -44,6 +45,12 @@ const Ops* ScalarOps();
 const Ops* NeonOps();
 const Ops* Avx2Ops();
 const Ops* Avx512Ops();
+
+// The row helpers have internal linkage: each ISA TU compiles its own
+// copy under its own -m flag, so an inline (weak) definition shared
+// across TUs would let the linker keep, say, the AVX2 TU's copy for the
+// scalar level too.
+namespace {
 
 /// Base of row's lane within its block: element j of the row is at
 /// RowBase(...)[j * kSoaBlock].
@@ -144,6 +151,8 @@ inline void OfferRowSquared(const double* const* queries, int num_queries,
     }
   }
 }
+
+}  // namespace
 
 /// SurfaceTopK row by row through TopK: the scalar level's kernel, and
 /// the one NEON serves.

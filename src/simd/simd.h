@@ -24,6 +24,10 @@
 // contract. tests/simd_kernel_test.cc enforces all of this on every
 // level the host can run.
 //
+// Layout: kernels_scalar.cc is the reference; AVX2 and AVX-512 share
+// one body per kernel (kernels_block.h) over their own 8-row block type;
+// NEON has its own TU.
+//
 // Dispatch: the active level resolves once from cpuid, overridable via
 // the GBX_SIMD env var (scalar|neon|avx2|avx512|auto). Requesting a
 // level the binary or CPU cannot run falls back to the best supported
