@@ -1,7 +1,8 @@
 // Internal: per-ISA kernel tables and the shared scalar row helpers.
 // Each kernels_<isa>.cc translation unit compiles unconditionally; when
-// its ISA macro is absent (wrong arch, or the compiler lacks the flag)
-// the TU exports a null table and dispatch skips the level. The AVX2
+// its ISA macro is absent (wrong arch, or the compiler lacks the ISA; on
+// x86 CMakeLists.txt defines GBX_KERNELS_AVX2 / GBX_KERNELS_AVX512F) the
+// TU exports a null table and dispatch skips the level. The AVX2
 // and AVX-512 TUs instantiate one set of bodies, kernels_block.h; the
 // scalar reference and NEON are written out. The scalar row helpers
 // live here so every level's partial-block (head/tail) path is the same
@@ -46,10 +47,27 @@ const Ops* NeonOps();
 const Ops* Avx2Ops();
 const Ops* Avx512Ops();
 
+// GBX_TARGET_BEGIN("avx2") ... GBX_TARGET_END: the functions defined
+// between them compile for that ISA. The x86 kernel TUs open the region
+// after this header and the standard ones, in place of a TU-wide -m flag,
+// so the inline std:: and gbx functions those headers define (weak
+// definitions at -O0, one of which the linker keeps for every caller)
+// stay on the default target.
+#define GBX_TARGET_PRAGMA(x) _Pragma(#x)
+#if defined(__clang__)
+#define GBX_TARGET_BEGIN(isa)                                 \
+  GBX_TARGET_PRAGMA(clang attribute push(                     \
+      __attribute__((target(isa))), apply_to = function))
+#define GBX_TARGET_END GBX_TARGET_PRAGMA(clang attribute pop)
+#else
+#define GBX_TARGET_BEGIN(isa) \
+  GBX_TARGET_PRAGMA(GCC push_options) GBX_TARGET_PRAGMA(GCC target(isa))
+#define GBX_TARGET_END GBX_TARGET_PRAGMA(GCC pop_options)
+#endif
+
 // The row helpers have internal linkage: each ISA TU compiles its own
-// copy under its own -m flag, so an inline (weak) definition shared
-// across TUs would let the linker keep, say, the AVX2 TU's copy for the
-// scalar level too.
+// copy, so an inline (weak) definition shared across TUs cannot leave,
+// say, the AVX2 TU's copy serving the scalar level too.
 namespace {
 
 /// Base of row's lane within its block: element j of the row is at

@@ -3,9 +3,15 @@
 // plus -ffp-contract=off on this TU keep contraction out.
 #include "simd/kernels.h"
 
-#if defined(__AVX2__)
+#if defined(GBX_KERNELS_AVX2)
 
 #include <immintrin.h>
+
+// kernels_block.h's standard headers, before the target region opens.
+#include <algorithm>
+#include <array>
+
+GBX_TARGET_BEGIN("avx2")
 
 #include "simd/kernels_block.h"
 
@@ -69,13 +75,15 @@ constexpr Ops kAvx2Ops = MakeBlockOps<Avx2Block>();
 
 }  // namespace
 
+GBX_TARGET_END
+
 const Ops* Avx2Ops() { return &kAvx2Ops; }
 
 }  // namespace internal
 }  // namespace simd
 }  // namespace gbx
 
-#else  // !defined(__AVX2__)
+#else  // !defined(GBX_KERNELS_AVX2)
 
 namespace gbx {
 namespace simd {
@@ -87,4 +95,4 @@ const Ops* Avx2Ops() { return nullptr; }
 }  // namespace simd
 }  // namespace gbx
 
-#endif  // defined(__AVX2__)
+#endif  // defined(GBX_KERNELS_AVX2)

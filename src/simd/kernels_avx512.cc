@@ -5,9 +5,15 @@
 // behavior.
 #include "simd/kernels.h"
 
-#if defined(__AVX512F__)
+#if defined(GBX_KERNELS_AVX512F)
 
 #include <immintrin.h>
+
+// kernels_block.h's standard headers, before the target region opens.
+#include <algorithm>
+#include <array>
+
+GBX_TARGET_BEGIN("avx512f")
 
 #include "simd/kernels_block.h"
 
@@ -49,13 +55,15 @@ constexpr Ops kAvx512Ops = MakeBlockOps<Avx512Block>();
 
 }  // namespace
 
+GBX_TARGET_END
+
 const Ops* Avx512Ops() { return &kAvx512Ops; }
 
 }  // namespace internal
 }  // namespace simd
 }  // namespace gbx
 
-#else  // !defined(__AVX512F__)
+#else  // !defined(GBX_KERNELS_AVX512F)
 
 namespace gbx {
 namespace simd {
@@ -67,4 +75,4 @@ const Ops* Avx512Ops() { return nullptr; }
 }  // namespace simd
 }  // namespace gbx
 
-#endif  // defined(__AVX512F__)
+#endif  // defined(GBX_KERNELS_AVX512F)

@@ -13,8 +13,8 @@
 // One lane = one row, and every row folds j-ascending, so per-row
 // arithmetic is the scalar reference's exactly (see simd.h); partial
 // blocks at the range edges take kernels.h's row helpers. Every name
-// here has internal linkage: each ISA TU compiles its own copy under
-// its own -m flag, and none may reach the linker as a shared symbol.
+// here has internal linkage: each ISA TU compiles its own copy for its
+// own target, and none may reach the linker as a shared symbol.
 #ifndef GBX_SIMD_KERNELS_BLOCK_H_
 #define GBX_SIMD_KERNELS_BLOCK_H_
 

@@ -1,7 +1,10 @@
 #include "core/gbabs.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +12,7 @@
 #include "data/synthetic.h"
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
+#include "thread_counts.h"
 
 namespace gbx {
 namespace {
@@ -238,10 +242,10 @@ TEST(GbabsTest, PreservesDecisionTreeAccuracyOnSeparableData) {
   EXPECT_GT(sampled_acc, full_acc - 0.08);
 }
 
-// The borderline scan written the direct way, as a reference: per
-// dimension, ball ids sorted by (center coordinate, id), results
-// collected in ordered sets.
-void ReferenceBorderline(const GranularBallSet& balls,
+// The borderline scan written the direct way, as a reference: per scanned
+// dimension, ball ids sorted by (center coordinate, id) with `<` on
+// doubles (so -0.0 and +0.0 tie), results collected in ordered sets.
+void ReferenceBorderline(const GranularBallSet& balls, int max_scan_dimensions,
                          std::vector<int>* sampled,
                          std::vector<int>* borderline) {
   const Matrix& x = balls.scaled_features();
@@ -256,7 +260,7 @@ void ReferenceBorderline(const GranularBallSet& balls,
   std::set<int> samples;
   std::set<int> flagged;
   std::vector<int> order(balls.size());
-  for (int dim = 0; dim < x.cols(); ++dim) {
+  for (int dim : BorderlineScanDimensions(balls, max_scan_dimensions)) {
     for (int i = 0; i < balls.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       const double va = balls.ball(a).center[dim];
@@ -274,6 +278,63 @@ void ReferenceBorderline(const GranularBallSet& balls,
   }
   sampled->assign(samples.begin(), samples.end());
   borderline->assign(flagged.begin(), flagged.end());
+}
+
+// SampleBorderlineIndices must equal the reference at every thread count.
+void ExpectMatchesReference(const GranularBallSet& balls,
+                            int max_scan_dimensions = 0) {
+  std::vector<int> want_sampled;
+  std::vector<int> want_borderline;
+  ReferenceBorderline(balls, max_scan_dimensions, &want_sampled,
+                      &want_borderline);
+  for (int threads : ThreadCountsUnderTest()) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    std::vector<int> borderline;
+    EXPECT_EQ(SampleBorderlineIndices(balls, &borderline, max_scan_dimensions,
+                                      threads),
+              want_sampled);
+    EXPECT_EQ(borderline, want_borderline);
+  }
+}
+
+// m balls in p dimensions over `classes` labels, each center coordinate
+// drawn from `values`. A ball has 1-3 members; the first sits on the
+// center, the others move each coordinate to another draw with
+// probability 1/2. The first `constant_dims` dimensions hold one value
+// (values[0]) at every center.
+GranularBallSet PoolBalls(std::uint64_t seed, int m, int p,
+                          const std::vector<double>& values,
+                          int constant_dims = 0, int classes = 3) {
+  Pcg32 rng(seed);
+  const auto draw = [&] {
+    return values[rng.NextBounded(static_cast<std::uint32_t>(values.size()))];
+  };
+  std::vector<std::vector<double>> rows;
+  std::vector<GranularBall> balls(m);
+  for (GranularBall& ball : balls) {
+    ball.label = static_cast<int>(rng.NextBounded(classes));
+    ball.center.resize(p);
+    for (int j = 0; j < p; ++j) {
+      ball.center[j] = j < constant_dims ? values[0] : draw();
+    }
+    const int members = 1 + static_cast<int>(rng.NextBounded(3));
+    for (int k = 0; k < members; ++k) {
+      std::vector<double> row = ball.center;
+      if (k > 0) {
+        for (double& v : row) {
+          if (rng.NextBounded(2) == 0) v = draw();
+        }
+      }
+      ball.members.push_back(static_cast<int>(rows.size()));
+      rows.push_back(std::move(row));
+    }
+    ball.center_index = ball.members[0];
+  }
+  Matrix x(static_cast<int>(rows.size()), p);
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < p; ++j) x.At(i, j) = rows[i][j];
+  }
+  return GranularBallSet(std::move(balls), std::move(x), classes);
 }
 
 // Balls whose centers (and members) sit on a coarse grid, so center
@@ -312,14 +373,97 @@ GranularBallSet TiedCenterBalls(std::uint64_t seed) {
 TEST(GbabsTest, TiedCenterCoordinatesBreakTiesByBallId) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const GranularBallSet balls = TiedCenterBalls(seed);
-    std::vector<int> want_sampled;
-    std::vector<int> want_borderline;
-    ReferenceBorderline(balls, &want_sampled, &want_borderline);
-    std::vector<int> borderline;
-    EXPECT_EQ(SampleBorderlineIndices(balls, &borderline), want_sampled);
-    EXPECT_EQ(borderline, want_borderline);
+    ExpectMatchesReference(TiedCenterBalls(seed));
   }
+}
+
+TEST(GbabsOracleTest, SignedZerosTie) {
+  // Ball 1 sits at -0.0 between two class-0 balls at +0.0. Tied, the
+  // three keep id order 0, 1, 2, so both pairs are heterogeneous; were
+  // -0.0 ranked first, the order would be 1, 0, 2 and ball 2 would not
+  // be borderline.
+  std::vector<GranularBall> balls(3);
+  const double coords[] = {0.0, -0.0, 0.0};
+  for (int i = 0; i < 3; ++i) {
+    balls[i].center = {coords[i]};
+    balls[i].members = {i};
+    balls[i].center_index = i;
+    balls[i].label = i == 1 ? 1 : 0;
+  }
+  Matrix x(3, 1);
+  for (int i = 0; i < 3; ++i) x.At(i, 0) = coords[i];
+  const GranularBallSet set(std::move(balls), std::move(x), 2);
+  for (int threads : ThreadCountsUnderTest()) {
+    std::vector<int> borderline;
+    EXPECT_EQ(SampleBorderlineIndices(set, &borderline, 0, threads),
+              (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(borderline, (std::vector<int>{0, 1, 2}));
+  }
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectMatchesReference(PoolBalls(seed, 30, 3, {-0.0, 0.0, 1.0}));
+  }
+}
+
+TEST(GbabsOracleTest, NegativeSubnormalAndLargeCoordinates) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  const std::vector<double> values = {
+      -kMax, -1e300, -3.5, -kMinNormal, -1e-310, -kDenorm, -0.0, 0.0,
+      kDenorm, 2 * kDenorm, 1e-310, kMinNormal, 2.25, 1e300, kMax};
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectMatchesReference(PoolBalls(100 + seed, 60, 4, values));
+  }
+}
+
+TEST(GbabsOracleTest, ConstantDimensions) {
+  const std::vector<double> values = {0.25, -1.0, 0.0, 0.5, 3.0};
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectMatchesReference(PoolBalls(200 + seed, 40, 4, values,
+                                     /*constant_dims=*/2));
+    ExpectMatchesReference(PoolBalls(300 + seed, 40, 3, values,
+                                     /*constant_dims=*/3));
+  }
+}
+
+TEST(GbabsOracleTest, BallCountsAroundTheParallelFloor) {
+  const std::vector<double> values = {-2.0, -0.5, 0.0, 0.125, 0.75, 1.0};
+  constexpr int kDims = 4;
+  const int above_floor =
+      static_cast<int>(kBorderlineScanMinParallelUnits / kDims) + 1;
+  for (int m : {1, 2, above_floor}) {
+    SCOPED_TRACE("m " + std::to_string(m));
+    for (std::uint64_t seed = 0; seed < 5; ++seed) {
+      ExpectMatchesReference(PoolBalls(400 + seed, m, kDims, values));
+    }
+  }
+  // Continuous coordinates above the floor: every key byte varies.
+  std::vector<double> fine(997);
+  for (int i = 0; i < static_cast<int>(fine.size()); ++i) {
+    fine[i] = std::sin(0.37 * i) * std::pow(10.0, i % 7 - 3);
+  }
+  ExpectMatchesReference(PoolBalls(500, above_floor, kDims, fine));
+}
+
+TEST(GbabsOracleTest, MaxScanDimensions) {
+  std::vector<double> values(61);
+  for (int i = 0; i < static_cast<int>(values.size()); ++i) {
+    values[i] = 0.05 * (i - 30);
+  }
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const GranularBallSet balls = PoolBalls(600 + seed, 300, 8, values);
+    for (int k : {1, 3, 7}) {
+      SCOPED_TRACE("k " + std::to_string(k));
+      ExpectMatchesReference(balls, k);
+    }
+  }
+  // Above the parallel floor with a dimension subset.
+  const GranularBallSet wide = PoolBalls(700, 4000, 12, values);
+  ExpectMatchesReference(wide, 5);
 }
 
 }  // namespace

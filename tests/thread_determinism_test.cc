@@ -3,6 +3,7 @@
 // disjoint per-index slots and all reductions keep their sequential
 // order, so 1 thread, 2 threads, and hardware concurrency must agree
 // exactly — not approximately.
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "cluster/dpc.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/gbabs.h"
 #include "core/rd_gbg.h"
 #include "data/synthetic.h"
 #include "ml/gb_knn.h"
@@ -124,6 +126,38 @@ TEST_P(RdGbgThreadDeterminismTest, OutputIdenticalAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, RdGbgThreadDeterminismTest,
+                         ::testing::Range(0, 5));
+
+// RunGbabs on the same sets: the borderline scan splits its dimensions
+// over the pool (per-worker flags, OR'd at the end), so the sampled
+// indices and borderline balls must not depend on the thread count.
+// WideClusters (d = 512) is above the scan's parallel floor, so there it
+// runs on several workers at every thread count >= 2.
+class GbabsThreadDeterminismTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(GbabsThreadDeterminismTest, SampleIdenticalAcrossThreadCounts) {
+  const int which = GetParam();
+  const Dataset ds = PickDataset(which);
+  GbabsConfig cfg;
+  cfg.gbg.seed = 91 + which;
+  cfg.gbg.num_threads = 1;
+  const GbabsResult reference = RunGbabs(ds, cfg);
+  if (which == 4) {
+    ASSERT_GE(static_cast<std::int64_t>(reference.gbg.balls.size()) *
+                  ds.num_features(),
+              kBorderlineScanMinParallelUnits);
+  }
+  for (int threads : ThreadCountsUnderTest()) {
+    cfg.gbg.num_threads = threads;
+    const GbabsResult run = RunGbabs(ds, cfg);
+    ASSERT_EQ(run.sampled_indices, reference.sampled_indices)
+        << "threads=" << threads;
+    ASSERT_EQ(run.borderline_ball_ids, reference.borderline_ball_ids)
+        << "threads=" << threads;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SyntheticDatasets, GbabsThreadDeterminismTest,
                          ::testing::Range(0, 5));
 
 // The index-strategy axis: every tree-backed neighbor pass — the
