@@ -297,14 +297,25 @@ void ExpectMatchesReference(const GranularBallSet& balls,
   }
 }
 
-// m balls in p dimensions over `classes` labels, each center coordinate
+// Builds the ball set whose scaled feature matrix is `rows`.
+GranularBallSet BallSetFromRows(std::vector<GranularBall> balls,
+                                const std::vector<std::vector<double>>& rows,
+                                int p, int classes) {
+  Matrix x(static_cast<int>(rows.size()), p);
+  for (int i = 0; i < x.rows(); ++i) {
+    for (int j = 0; j < p; ++j) x.At(i, j) = rows[i][j];
+  }
+  return GranularBallSet(std::move(balls), std::move(x), classes);
+}
+
+// m balls in p dimensions over three labels, each center coordinate
 // drawn from `values`. A ball has 1-3 members; the first sits on the
 // center, the others move each coordinate to another draw with
 // probability 1/2. The first `constant_dims` dimensions hold one value
 // (values[0]) at every center.
 GranularBallSet PoolBalls(std::uint64_t seed, int m, int p,
                           const std::vector<double>& values,
-                          int constant_dims = 0, int classes = 3) {
+                          int constant_dims = 0) {
   Pcg32 rng(seed);
   const auto draw = [&] {
     return values[rng.NextBounded(static_cast<std::uint32_t>(values.size()))];
@@ -312,7 +323,7 @@ GranularBallSet PoolBalls(std::uint64_t seed, int m, int p,
   std::vector<std::vector<double>> rows;
   std::vector<GranularBall> balls(m);
   for (GranularBall& ball : balls) {
-    ball.label = static_cast<int>(rng.NextBounded(classes));
+    ball.label = static_cast<int>(rng.NextBounded(3));
     ball.center.resize(p);
     for (int j = 0; j < p; ++j) {
       ball.center[j] = j < constant_dims ? values[0] : draw();
@@ -330,11 +341,7 @@ GranularBallSet PoolBalls(std::uint64_t seed, int m, int p,
     }
     ball.center_index = ball.members[0];
   }
-  Matrix x(static_cast<int>(rows.size()), p);
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < p; ++j) x.At(i, j) = rows[i][j];
-  }
-  return GranularBallSet(std::move(balls), std::move(x), classes);
+  return BallSetFromRows(std::move(balls), rows, p, 3);
 }
 
 // Balls whose centers (and members) sit on a coarse grid, so center
@@ -363,11 +370,7 @@ GranularBallSet TiedCenterBalls(std::uint64_t seed) {
     ball.center_index = ball.members[0];
     ball.radius = members > 1 ? 0.2 : 0.0;
   }
-  Matrix x(static_cast<int>(rows.size()), p);
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < p; ++j) x.At(i, j) = rows[i][j];
-  }
-  return GranularBallSet(std::move(balls), std::move(x), q);
+  return BallSetFromRows(std::move(balls), rows, p, q);
 }
 
 TEST(GbabsTest, TiedCenterCoordinatesBreakTiesByBallId) {
