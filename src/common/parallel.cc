@@ -93,7 +93,11 @@ void ThreadPool::WorkerLoop() {
       seen = generation_;
       job = job_;  // keep the job alive while running its chunks
     }
-    RunChunks(job.get());
+    // Every worker wakes, but only max_threads - 1 of them may run the
+    // job's chunks.
+    if (job->seats.fetch_sub(1, std::memory_order_relaxed) > 0) {
+      RunChunks(job.get());
+    }
   }
 }
 
@@ -114,6 +118,7 @@ void ThreadPool::ParallelForRange(int count, int grain, int max_threads,
   job->grain = grain;
   job->num_chunks = num_chunks;
   job->remaining.store(num_chunks, std::memory_order_relaxed);
+  job->seats.store(threads - 1, std::memory_order_relaxed);
   EnsureWorkers(threads - 1);
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -82,6 +82,7 @@ class ThreadPool {
     int grain = 1;
     int num_chunks = 0;
     std::atomic<int> next{0};       // next chunk to claim
+    std::atomic<int> seats{0};      // workers that may still join
     std::atomic<int> remaining{0};  // chunks not yet finished
     std::mutex done_mu;
     std::condition_variable done_cv;

@@ -46,9 +46,9 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // Squared distance to a neighbor candidate. The (dist2, index) pair is a
-// strict total order, so any selection schedule — the round pass's
-// filtered top-K with its lazily sorted tail or the incremental KD-tree
-// queries — realizes the same sorted sequence, which is what keeps the
+// strict total order, so any selection schedule — the epoch pass's
+// filtered top-K with its bounded and lazily sorted tiers or the
+// incremental KD-tree queries — realizes the same sorted sequence, which is what keeps the
 // strategy knob bit-identical.
 using DistEntry = SquaredNeighbor;
 
@@ -160,6 +160,12 @@ class UndividedByClass {
 // dead. The granulation applies a candidate's departures only when the
 // candidate ends, so every pass a candidate makes sees the U it started
 // with.
+//
+// Neighbor lists are taken once per epoch, not once per round: EpochTopK
+// gives every sample of T its K nearest live samples, and an epoch lasts
+// until the next compaction, so a list outlives many rounds. U only
+// shrinks, so a list taken over an earlier U and filtered by liveness is
+// an exact prefix of its sample's current sorted list.
 class ResidentU {
  public:
   explicit ResidentU(const Matrix& x)
@@ -169,7 +175,8 @@ class ResidentU {
         sample_slot_(x.rows()),
         live_(x.rows(), 1),
         live_count_(x.rows()),
-        dist_(x.rows()) {
+        dist_(x.rows()),
+        list_counts_(x.rows()) {
     for (int i = 0; i < x.rows(); ++i) slot_sample_[i] = sample_slot_[i] = i;
   }
 
@@ -182,69 +189,94 @@ class ResidentU {
     --live_count_;
   }
 
-  /// Compacts the slots once at least half of them are dead.
-  void CompactIfSparse() {
+  /// Compacts the slots once at least half of them are dead; true when it
+  /// did, which ends the epoch.
+  bool CompactIfSparse() {
     const int slots = rows_.rows();
-    if ((slots - live_count_) * 2 < slots) return;
+    if ((slots - live_count_) * 2 < slots) return false;
     int kept = 0;
     for (int s = 0; s < slots; ++s) {
       if (live_[s]) slot_sample_[kept++] = slot_sample_[s];
     }
     slot_sample_.resize(kept);
-    // RoundTopK ranks slots in place of samples, which needs slot order
+    // The kernel ranks slots in place of samples, which needs slot order
     // to stay sample order.
     GBX_DCHECK(std::is_sorted(slot_sample_.begin(), slot_sample_.end()));
     for (int s = 0; s < kept; ++s) sample_slot_[slot_sample_[s]] = s;
     live_.assign(kept, 1);
     rows_.GatherRows(*x_, slot_sample_.data(), kept);
+    return true;
   }
 
-  /// The round pass: for every candidate t (a live sample), the k
-  /// smallest (dist2, sample) entries among the other live samples,
-  /// ascending, in lists[t*k, t*k + counts[t]). The slots split into
-  /// contiguous ranges over up to `threads` workers, each range scanned
-  /// for all candidates at once by one simd::SquaredTopK call. Because
-  /// the order is strict and total, the merged lists are the same for
-  /// every split; the kernel ranks slots, and slot order is sample
-  /// order, so mapping slots to samples afterwards keeps the (dist2,
-  /// sample) order.
-  void RoundTopK(const std::vector<int>& candidates, int k, int threads,
-                 std::vector<DistEntry>* lists, std::vector<int>* counts) {
-    const int nq = static_cast<int>(candidates.size());
-    const int workers = PassWorkers(nq, threads);
-    queries_.resize(nq);
-    exclude_slots_.resize(nq);
-    for (int t = 0; t < nq; ++t) {
-      queries_[t] = x_->Row(candidates[t]);
-      exclude_slots_[t] = sample_slot_[candidates[t]];
-    }
-    const std::size_t per_worker = static_cast<std::size_t>(nq) * k;
-    found_.resize(workers * per_worker);
-    found_counts_.resize(static_cast<std::size_t>(workers) * nq);
-    ForEachRange(workers, [&](int w, int lo, int hi) {
-      simd::SquaredTopK(queries_.data(), nq, rows_, live_.data(),
-                        exclude_slots_.data(), lo, hi, k,
-                        found_.data() + w * per_worker,
-                        found_counts_.data() + static_cast<std::size_t>(w) * nq);
-    });
-    lists->resize(per_worker);
-    counts->resize(nq);
-    for (int t = 0; t < nq; ++t) {
-      merged_.clear();
-      for (int w = 0; w < workers; ++w) {
-        const std::pair<double, int>* list =
-            found_.data() + w * per_worker + static_cast<std::size_t>(t) * k;
-        merged_.insert(merged_.end(), list,
-                       list + found_counts_[static_cast<std::size_t>(w) * nq +
-                                            t]);
-      }
-      std::sort(merged_.begin(), merged_.end());
-      const int count = std::min(k, static_cast<int>(merged_.size()));
-      DistEntry* out = lists->data() + static_cast<std::size_t>(t) * k;
-      for (int e = 0; e < count; ++e) {
-        out[e] = DistEntry{merged_[e].first, slot_sample_[merged_[e].second]};
-      }
-      (*counts)[t] = count;
+  /// The epoch pass: for every sample t of `samples` (live samples), the
+  /// ids of the k nearest other live samples in ascending (dist2, sample)
+  /// order, read back through List(t). The samples run in chunks of
+  /// SquaredTopKQueriesPerPass(), one simd::SquaredTopK call over every
+  /// live slot per chunk, and the chunks split over up to `threads`
+  /// workers, each chunk with its own pair scratch. The kernel ranks
+  /// slots, and slot order is sample order, so mapping slots to samples
+  /// keeps the (dist2, sample) order. Only ids are kept: a view computes
+  /// an entry's distance when it reads it.
+  void EpochTopK(const std::vector<int>& samples, int k, int threads) {
+    const int nq = static_cast<int>(samples.size());
+    const int per_pass = simd::SquaredTopKQueriesPerPass();
+    list_k_ = k;
+    lists_.resize(static_cast<std::size_t>(x_->rows()) * k);
+    ParallelForRange(
+        (nq + per_pass - 1) / per_pass, 1, PassWorkers(nq, threads),
+        [&](int cbegin, int cend) {
+          std::vector<const double*> queries(per_pass);
+          std::vector<int> exclude(per_pass);
+          std::vector<std::pair<double, int>> found(
+              static_cast<std::size_t>(per_pass) * k);
+          std::vector<int> counts(per_pass);
+          for (int chunk = cbegin; chunk < cend; ++chunk) {
+            const int first = chunk * per_pass;
+            const int num = std::min(per_pass, nq - first);
+            for (int g = 0; g < num; ++g) {
+              queries[g] = x_->Row(samples[first + g]);
+              exclude[g] = sample_slot_[samples[first + g]];
+            }
+            simd::SquaredTopK(queries.data(), num, rows_, live_.data(),
+                              exclude.data(), 0, rows_.rows(), k,
+                              found.data(), counts.data());
+            for (int g = 0; g < num; ++g) {
+              const int t = samples[first + g];
+              int* list = lists_.data() + static_cast<std::size_t>(t) * k;
+              const std::pair<double, int>* entries =
+                  found.data() + static_cast<std::size_t>(g) * k;
+              for (int e = 0; e < counts[g]; ++e) {
+                list[e] = slot_sample_[entries[e].second];
+              }
+              list_counts_[t] = counts[g];
+            }
+          }
+        });
+  }
+
+  /// Sample t's epoch list (t was in the epoch's `samples`), unfiltered.
+  const int* List(int t) const {
+    return lists_.data() + static_cast<std::size_t>(t) * list_k_;
+  }
+  int ListSize(int t) const { return list_counts_[t]; }
+
+  double SquaredDistanceTo(const double* q, int sample) const {
+    return SquaredDistance(q, x_->Row(sample), x_->cols());
+  }
+
+  /// The bounded fallback: the k nearest live entries from `q` but
+  /// `exclude`'s, ascending, from one single-query top-k pass.
+  void NearestK(const double* q, int exclude, int k,
+                std::vector<DistEntry>* out) {
+    const int exclude_slot = sample_slot_[exclude];
+    nearest_.resize(k);
+    int count = 0;
+    simd::SquaredTopK(&q, 1, rows_, live_.data(), &exclude_slot, 0,
+                      rows_.rows(), k, nearest_.data(), &count);
+    out->resize(count);
+    for (int e = 0; e < count; ++e) {
+      (*out)[e] =
+          DistEntry{nearest_[e].first, slot_sample_[nearest_[e].second]};
     }
   }
 
@@ -253,10 +285,13 @@ class ResidentU {
   /// deep-read fallback.
   void FillAll(const double* q, int exclude, int threads,
                std::vector<DistEntry>* out) {
-    ForEachRange(PassWorkers(1, threads), [&](int, int lo, int hi) {
-      simd::SquaredDistanceBatch(q, rows_, lo, hi, dist_.data());
-    });
     const int slots = rows_.rows();
+    const int workers = PassWorkers(1, threads);
+    ParallelForRange(slots, (slots + workers - 1) / workers, workers,
+                     [&](int lo, int hi) {
+                       simd::SquaredDistanceBatch(q, rows_, lo, hi,
+                                                  dist_.data());
+                     });
     const int exclude_slot = sample_slot_[exclude];
     out->clear();
     for (int s = 0; s < slots; ++s) {
@@ -276,20 +311,6 @@ class ResidentU {
                : 1;
   }
 
-  // Runs fn(w, lo, hi) for `workers` contiguous slot ranges over the pool.
-  template <typename Fn>
-  void ForEachRange(int workers, const Fn& fn) {
-    const int slots = rows_.rows();
-    ParallelForRange(workers, 1, workers, [&](int wbegin, int wend) {
-      for (int w = wbegin; w < wend; ++w) {
-        fn(w,
-           static_cast<int>(static_cast<std::int64_t>(slots) * w / workers),
-           static_cast<int>(static_cast<std::int64_t>(slots) * (w + 1) /
-                            workers));
-      }
-    });
-  }
-
   const Matrix* x_;
   SoaMatrix rows_;                 // slot s holds sample slot_sample_[s]
   std::vector<int> slot_sample_;
@@ -297,29 +318,31 @@ class ResidentU {
   std::vector<std::uint8_t> live_;
   int live_count_;
   std::vector<double> dist_;       // per-slot distances of FillAll's pass
-  // RoundTopK scratch: the candidates' rows and slots, each worker's
-  // lists and counts, and one candidate's merge.
-  std::vector<const double*> queries_;
-  std::vector<int> exclude_slots_;
-  std::vector<std::pair<double, int>> found_;
-  std::vector<int> found_counts_;
-  std::vector<std::pair<double, int>> merged_;
+  // The epoch's lists: sample t's ids at lists_[t * list_k_ ..), with
+  // list_counts_[t] of them.
+  std::vector<int> lists_;
+  std::vector<int> list_counts_;
+  int list_k_ = 0;
+  std::vector<std::pair<double, int>> nearest_;  // NearestK's pass output
 };
 
-// The sorted neighbor view of a flat candidate. `top` is the candidate's
-// round-pass list with the samples that left U since the round started
-// filtered out. U only shrinks, so the list's survivors are exactly the
-// first entries of the candidate's current sorted list: every sample of
-// today's U that the round pass did not keep ranked behind all of them.
-// The survivors serve almost every read; a candidate that reads past
-// them falls back to a fresh distance pass over today's U and a
-// LazySortedPrefix over every live entry.
+// The sorted neighbor view of a flat candidate. `top` holds the ids of
+// the candidate's epoch list that are still in U, in list order; each
+// entry's dist2 is computed the first time it is read (bit-identical to
+// the kernel's by the simd.h contract), because a candidate rarely reads
+// its whole list. The survivors are exactly the first entries of the
+// candidate's current sorted list: every sample of today's U that the
+// epoch pass did not keep ranked behind all of them. A candidate that
+// reads past them takes two fallback tiers. The first read past them runs
+// one bounded top-k pass over today's U, 4x the epoch list's length,
+// which is again the exact sorted prefix; only a read past that takes a
+// fresh distance pass and a LazySortedPrefix over every live entry.
 class ResidentNeighborView {
  public:
   ResidentNeighborView(ResidentU* u, const double* query, int exclude,
-                       int threads, const std::vector<DistEntry>* top,
-                       std::vector<DistEntry>* storage,
-                       std::size_t initial_block, double* fallback_ms)
+                       int threads, std::vector<DistEntry>* top,
+                       std::vector<DistEntry>* storage, std::size_t list_k,
+                       double* fallback_ms)
       : u_(u),
         query_(query),
         exclude_(exclude),
@@ -327,43 +350,57 @@ class ResidentNeighborView {
         top_(top),
         storage_(storage),
         m_(static_cast<std::size_t>(u->live() - 1)),
-        initial_block_(initial_block),
+        list_k_(list_k),
         fallback_ms_(fallback_ms) {}
 
   /// Eligible neighbors (live samples minus the candidate itself).
   std::size_t size() const { return m_; }
 
   const DistEntry& operator[](std::size_t i) {
-    if (i < top_->size()) return (*top_)[i];
+    if (i < top_->size()) {
+      for (; measured_ <= i; ++measured_) {
+        DistEntry& e = (*top_)[measured_];
+        e.dist2 = u_->SquaredDistanceTo(query_, e.index);
+      }
+      return (*top_)[i];
+    }
+    if (i < bounded_ || (lazy_.has_value() && i < lazy_->sorted())) {
+      return (*storage_)[i];
+    }
     return Tail(i);
   }
 
  private:
   const DistEntry& Tail(std::size_t i) {
     std::chrono::steady_clock::time_point start;
-    const bool timed = fallback_ms_ != nullptr &&
-                       (!lazy_.has_value() || i >= lazy_->sorted());
-    if (timed) start = std::chrono::steady_clock::now();
-    if (!lazy_.has_value()) {
-      // The filtered prefix has already been read, so the first block
-      // doubles the round pass's list length.
-      u_->FillAll(query_, exclude_, threads_, storage_);
-      lazy_.emplace(storage_, 2 * initial_block_);
+    if (fallback_ms_ != nullptr) start = std::chrono::steady_clock::now();
+    if (bounded_ == 0) {
+      u_->NearestK(query_, exclude_,
+                   static_cast<int>(std::min(4 * list_k_, m_)), storage_);
+      bounded_ = storage_->size();
     }
-    const DistEntry& entry = (*lazy_)[i];
-    if (timed) *fallback_ms_ += MsSince(start);
+    if (i >= bounded_ && !lazy_.has_value()) {
+      // The lazy prefix sorts from scratch, so its first block doubles
+      // the bounded pass: [0, bounded_) stays what that pass returned.
+      u_->FillAll(query_, exclude_, threads_, storage_);
+      lazy_.emplace(storage_, 2 * bounded_);
+    }
+    const DistEntry& entry = i < bounded_ ? (*storage_)[i] : (*lazy_)[i];
+    if (fallback_ms_ != nullptr) *fallback_ms_ += MsSince(start);
     return entry;
   }
 
   ResidentU* u_;
   const double* query_;
   int exclude_;
-  int threads_;  // for the fallback's distance pass
-  const std::vector<DistEntry>* top_;
+  int threads_;  // for the deep fallback's distance pass
+  std::vector<DistEntry>* top_;
   std::vector<DistEntry>* storage_;
   std::size_t m_;
-  std::size_t initial_block_;
+  std::size_t list_k_;
   double* fallback_ms_;  // nullptr when metrics are off
+  std::size_t measured_ = 0;  // top_[0, measured_) carry their dist2
+  std::size_t bounded_ = 0;   // entries of the bounded pass, 0 before it
   std::optional<LazySortedPrefix> lazy_;
 };
 
@@ -447,9 +484,9 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
   // Phase timers (gbx_core_phase_ms{phase=...}): total granulation time
   // plus the accumulated r_conf pass, neighbor search (rdgbg_scan: the
-  // flat round passes, or the tree fetches) and the flat deep-read
-  // fallback (rdgbg_fallback: fresh distance passes plus the lazy sort;
-  // 0 under the trees). Behind metrics::Enabled() because each probe adds
+  // flat epoch passes, or the tree fetches) and the flat reads past an
+  // epoch list (rdgbg_fallback: the bounded passes, the fresh distance
+  // passes and the lazy sort; 0 under the trees). Behind metrics::Enabled() because each probe adds
   // two clock reads per candidate — near-zero when armed, literally zero
   // when GBX_METRICS=0.
   const bool metrics_on = metrics::Enabled();
@@ -469,12 +506,10 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   Pcg32 rng(config.seed);
 
   std::vector<DistEntry> entries;
-  // Flat strategy: the round pass's lists (round_k slots per candidate,
-  // round_counts filled), and the current candidate's filtered list.
-  std::vector<DistEntry> round_lists;
-  std::vector<int> round_counts;
-  int round_k = 0;
+  // Flat strategy: the current candidate's filtered epoch list, and
+  // whether a compaction has ended the epoch.
   std::vector<DistEntry> top;
+  bool epoch_due = true;
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
   // (simd::MinSurfaceGap); every new ball is appended to it.
@@ -512,6 +547,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
   std::vector<int> group_order;
   std::vector<int> candidates;
+  std::vector<int> epoch_samples;
   for (;;) {
     // --- Step 1 per round: T = U - L grouped by class. ---
     group_order.clear();
@@ -534,21 +570,26 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           undivided.Select(cls, static_cast<int>(rng.NextBounded(size))));
     }
 
-    // Flat strategy: one fused top-K pass over the round-start U serves
-    // every candidate of the round; each candidate later drops the
-    // entries that left U before its turn.
-    if (uflat != nullptr && uflat->live() > 1) {
+    // Flat strategy: the first round of an epoch gives every sample of T
+    // its list over today's U; each candidate later drops the entries
+    // that left U since.
+    if (uflat != nullptr && epoch_due && uflat->live() > 1) {
       std::chrono::steady_clock::time_point scan_start;
       if (metrics_on) scan_start = std::chrono::steady_clock::now();
-      round_k = static_cast<int>(std::min<std::size_t>(
-          initial_block, static_cast<std::size_t>(uflat->live() - 1)));
-      uflat->RoundTopK(candidates, round_k, threads, &round_lists,
-                       &round_counts);
+      epoch_samples.clear();
+      for (int i = 0; i < n; ++i) {
+        if (state[i] == SampleState::kUndivided) epoch_samples.push_back(i);
+      }
+      uflat->EpochTopK(epoch_samples,
+                       static_cast<int>(std::min<std::size_t>(
+                           initial_block,
+                           static_cast<std::size_t>(uflat->live() - 1))),
+                       threads);
+      epoch_due = false;
       if (metrics_on) scan_accum_ms += MsSince(scan_start);
     }
 
-    for (std::size_t t = 0; t < candidates.size(); ++t) {
-      const int c = candidates[t];
+    for (const int c : candidates) {
       // A previous candidate in this round may have absorbed or removed c.
       if (state[c] != SampleState::kUndivided) continue;
       const int label = labels[c];
@@ -557,7 +598,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
       // Everything from local-density detection to ball assembly,
       // against a sorted neighbor view — ResidentNeighborView over the
-      // round pass or TreeNeighborStream over incremental tree queries.
+      // epoch lists or TreeNeighborStream over incremental tree queries.
       // Both present the same (dist2, index) total order, so the
       // instantiations make identical decisions bit-for-bit. Tombstone
       // removals are deferred (collected in removed_now) so every view
@@ -716,24 +757,24 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         continue;
       }
 
-      // Flat strategy: the round pass's list, minus the samples earlier
-      // candidates of this round removed from U; sqrt is deferred until a
-      // radius is actually assigned.
+      // Flat strategy: the epoch list, minus the samples that left U
+      // since the epoch began; sqrt is deferred until a radius is
+      // actually assigned.
       if (uflat->live() <= 1) {
         set_state(c, SampleState::kLowDensity);  // last sample standing
         continue;
       }
       top.clear();
-      const DistEntry* list = round_lists.data() + t * round_k;
-      for (int e = 0; e < round_counts[t]; ++e) {
-        if (InU(state[list[e].index])) top.push_back(list[e]);
+      const int* list = uflat->List(c);
+      for (int e = 0; e < uflat->ListSize(c); ++e) {
+        if (InU(state[list[e]])) top.push_back(DistEntry{0.0, list[e]});
       }
       ResidentNeighborView neighbors(uflat.get(), cx, c, threads, &top,
                                      &entries, initial_block,
                                      metrics_on ? &fallback_accum_ms : nullptr);
       run_candidate(neighbors);
       for (int idx : removed_now) uflat->Remove(idx);
-      uflat->CompactIfSparse();
+      if (uflat->CompactIfSparse()) epoch_due = true;
     }
   }
 

@@ -39,20 +39,22 @@ struct RdGbgConfig {
   bool scale_features = true;
   /// Worker threads for the per-candidate distance scans. <= 0 resolves to
   /// the GBX_THREADS environment variable or the hardware concurrency
-  /// (see common/parallel.h); 1 forces a fully serial run. The flat
-  /// top-K scan splits across workers only while U carries enough
-  /// row-dimensions to repay the pool handoff (measured: usps-sized
-  /// n·d = 2000·256 gains from a second worker, magic-sized 8000·10
-  /// loses), so small or low-dimensional inputs scan serially at any
-  /// setting. Candidate selection and all state mutation stay
+  /// (see common/parallel.h); 1 forces a fully serial run. A flat pass
+  /// splits across workers only while its queries times U's
+  /// row-dimensions repay the pool handoff: an epoch pass over every
+  /// undivided sample does at gbxbench's sizes, while the deep-read
+  /// fallback's one-query distance pass does for usps-sized n·d =
+  /// 2000·256 and not for magic-sized 8000·10, so small inputs scan
+  /// serially at any setting. Candidate selection and all state mutation stay
   /// sequential, so the granulation is bit-identical at every thread
   /// count. Reaches GBABS through GbabsConfig::gbg.
   int num_threads = 0;
   /// How the per-candidate neighbor pass scans the shrinking undivided
-  /// set: kFlat is one fused distance + top-K pass over a resident,
-  /// tombstoned copy of U's rows (falling back to a full lazily sorted
-  /// fill only for a candidate that reads past its K = max(rho, 32)
-  /// nearest), kTree a DynamicKdTree that follows the U-set with
+  /// set: kFlat serves each candidate's K = max(rho, 32) nearest from
+  /// lists that one fused distance + top-K pass per epoch takes over a
+  /// resident, tombstoned copy of U's rows (a candidate that reads past
+  /// its list takes a bounded top-4K pass, then a full lazily sorted
+  /// fill), kTree a DynamicKdTree that follows the U-set with
   /// tombstone deletions (ahead of the flat scan only at d <= 2 from 2k
   /// samples, or d <= 4 from ~16k), kBallTree a metric ball-tree with
   /// triangle-inequality pruning (never ahead on a measured row, so

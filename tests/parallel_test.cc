@@ -1,8 +1,12 @@
 #include "common/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -120,6 +124,25 @@ TEST(ThreadPoolTest, DedicatedPoolIndependentOfGlobal) {
     sum.fetch_add(local);
   });
   EXPECT_EQ(sum.load(), 1000L * 999 / 2);
+}
+
+TEST(ThreadPoolTest, LargerPoolRunsAJobOnAtMostMaxThreads) {
+  // Three workers plus the caller could all claim chunks; a job asking
+  // for two executors must get two, however many workers wake.
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::set<std::thread::id> executors;
+  pool.ParallelForRange(64, 1, 2, [&](int, int) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      executors.insert(std::this_thread::get_id());
+    }
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(500);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
+  EXPECT_LE(executors.size(), 2u);
 }
 
 TEST(ParallelForTest, DeterministicOutputSlots) {

@@ -1,6 +1,7 @@
 #include "core/rd_gbg.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -294,13 +295,17 @@ TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {
   }
 }
 
-// The flat strategy serves each candidate's K = max(rho, 32) nearest
-// neighbors from one fused top-K pass per round over a resident copy of
-// U, drops the entries earlier candidates of the round removed, falls
-// back to a fresh, lazily sorted full pass when a candidate reads past
-// what is left, and compacts the copy once half of U has left. The
-// datasets below drive those paths; the result must equal the KD-tree's
-// bit for bit at every thread count.
+// The flat strategy gives every sample of T its K = max(rho, 32)
+// nearest neighbors in one pass at the start of an epoch, over a
+// resident copy of U that compacts once half of it has left; the first
+// round after a compaction starts the next epoch. A candidate drops the
+// entries that left U since its epoch began and reads the rest nearest
+// first. A read past them runs a bounded top-4K pass over today's U, and
+// a read past that a fresh, lazily sorted full pass. The datasets below
+// drive each of those paths; the result must equal the KD-tree's bit for
+// bit at every thread count and every SIMD level.
+constexpr int kListK = 32;
+
 std::string Fingerprint(const RdGbgResult& result) {
   std::string text = GranularBallsToString(result.balls) + "noise";
   for (int idx : result.noise_indices) text += ' ' + std::to_string(idx);
@@ -317,19 +322,57 @@ RdGbgResult ExpectFlatMatchesTree(const Dataset& ds, std::uint64_t seed) {
   const std::string want = Fingerprint(GenerateRdGbg(ds, cfg));
   cfg.index_strategy = IndexStrategy::kFlat;
   RdGbgResult flat;
-  for (int threads : ThreadCountsUnderTest()) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    cfg.num_threads = threads;
-    flat = GenerateRdGbg(ds, cfg);
-    EXPECT_EQ(Fingerprint(flat), want);
+  const char* prev = std::getenv("GBX_SIMD");
+  const std::string saved = prev != nullptr ? prev : "";
+  for (simd::Level level :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    if (!simd::Supported(level)) continue;
+    ::setenv("GBX_SIMD", simd::LevelName(level), 1);
+    simd::ReresolveFromEnvForTest();
+    for (int threads : ThreadCountsUnderTest()) {
+      SCOPED_TRACE(std::string("level ") + simd::LevelName(level) +
+                   " threads " + std::to_string(threads));
+      cfg.num_threads = threads;
+      flat = GenerateRdGbg(ds, cfg);
+      EXPECT_EQ(Fingerprint(flat), want);
+    }
   }
+  if (prev != nullptr) {
+    ::setenv("GBX_SIMD", saved.c_str(), 1);
+  } else {
+    ::unsetenv("GBX_SIMD");
+  }
+  simd::ReresolveFromEnvForTest();
   return flat;
 }
 
-TEST(RdGbgFlatScanTest, CandidatesReadingPastTopKMatchTree) {
+int LargestBall(const RdGbgResult& result) {
+  int largest = 0;
+  for (const GranularBall& ball : result.balls.balls()) {
+    largest = std::max(largest, ball.size());
+  }
+  return largest;
+}
+
+// True when a round began after the first compaction, which starts a
+// second epoch. The first compaction follows the candidate that brings
+// the departures (noise plus members of radius > 0 balls) to half of the
+// n slots, and the rest of its round removes at most one ball per class,
+// so more departures than n/2 plus one largest ball per class need a
+// later round.
+bool StartedASecondEpoch(const Dataset& ds, const RdGbgResult& result) {
+  int departed = static_cast<int>(result.noise_indices.size());
+  for (const GranularBall& ball : result.balls.balls()) {
+    if (ball.radius > 0.0) departed += ball.size();
+  }
+  return 2 * departed >=
+         ds.size() + 2 * ds.num_classes() * LargestBall(result);
+}
+
+TEST(RdGbgFlatScanTest, ReadsPastTheBoundedPassMatchTree) {
   // One dense class-0 cluster of 600 samples plus a dozen class-1/2
   // stragglers spread around it: a class-0 candidate's consistent
-  // region runs far past its 32 nearest neighbors.
+  // region runs far past its 4K nearest neighbors.
   const int cluster = 600;
   const int stragglers = 12;
   Matrix x(cluster + stragglers, 3);
@@ -347,21 +390,19 @@ TEST(RdGbgFlatScanTest, CandidatesReadingPastTopKMatchTree) {
   for (std::uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
-    int largest = 0;
-    for (const GranularBall& ball : result.balls.balls()) {
-      largest = std::max(largest, ball.size());
-    }
-    // A ball of more than K + 1 members read neighbors past the top K.
-    EXPECT_GT(largest, 32 + 1);
+    // A ball of more than 4K + 1 members read past the bounded pass.
+    EXPECT_GT(LargestBall(result), 4 * kListK + 1);
   }
 }
 
 TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
   // Four well-separated classes of three clusters each: balls swallow
   // whole clusters, so U shrinks in big steps, the resident copy
-  // compacts more than once, and later rounds run over compacted
-  // copies. n·p starts above the flat scan's parallel threshold, so the
-  // early candidates also split the scan across workers.
+  // compacts, and the round after it starts a second epoch over the
+  // compacted copy. The balls hold more than K + 1 but at most 4K + 1
+  // members, so their reads end inside the bounded pass. n·p starts
+  // above the flat scan's parallel threshold, so the epoch passes also
+  // split across workers.
   BlobsConfig cfg;
   cfg.num_samples = 1100;
   cfg.num_classes = 4;
@@ -372,17 +413,15 @@ TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
   Pcg32 rng(8102);
   const Dataset ds = MakeGaussianBlobs(cfg, &rng);
   const RdGbgResult result = ExpectFlatMatchesTree(ds, 5);
-  int departed = static_cast<int>(result.noise_indices.size());
-  for (const GranularBall& ball : result.balls.balls()) {
-    if (ball.radius > 0.0) departed += ball.size();
-  }
-  EXPECT_GE(2 * departed, ds.size());
+  EXPECT_TRUE(StartedASecondEpoch(ds, result));
+  EXPECT_GT(LargestBall(result), kListK + 1);
+  EXPECT_LE(LargestBall(result), 4 * kListK + 1);
   EXPECT_GT(result.iterations, 2);
 }
 
-// Candidates of one round whose neighborhoods overlap: K clusters in
-// which every class is present, so an earlier candidate's ball or noise
-// removal takes samples out of a later candidate's round-start list.
+// Candidates whose neighborhoods overlap: K clusters in which every class
+// is present, so a ball or noise removal takes samples out of the epoch
+// lists of candidates that run rounds later.
 Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
   const int clusters = 5;
   Pcg32 rng(seed);
@@ -405,42 +444,33 @@ Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
   return Dataset(std::move(x), std::move(labels));
 }
 
-TEST(RdGbgFlatScanTest, InRoundRemovalsMatchTreeAtEveryLevel) {
-  // The small d = 2 sets put a round's candidates close together, so a
-  // removed entry often sits among a later candidate's nearest few, where
-  // serving it would change the decision. d = 72 puts n·p times the
-  // round's candidates above the parallel threshold, so the round lists
-  // also merge across workers.
-  const char* prev = std::getenv("GBX_SIMD");
-  const std::string saved = prev != nullptr ? prev : "";
+TEST(RdGbgFlatScanTest, EpochListsOutliveManyRoundsMatchTree) {
+  // Each compaction halves the slots, so a fit has at most 1 + log2(n)
+  // epochs and most rounds read lists taken many rounds earlier. The
+  // small d = 2 sets put candidates close together, so a removed entry
+  // often sits among a later candidate's nearest few, where serving it
+  // would change the decision; they also start a second epoch. d = 72
+  // reads past many lists into both fallback tiers, and puts n·p above
+  // the parallel threshold, so the epoch pass splits across workers.
   for (const auto& [dims, n] :
        {std::pair{2, 300}, std::pair{2, 800}, std::pair{72, 1000}}) {
     const Dataset ds = MixedClusters(n, dims, 4, 8103 + dims);
-    for (simd::Level level : {simd::Level::kScalar, simd::Level::kAvx2,
-                              simd::Level::kAvx512}) {
-      if (!simd::Supported(level)) continue;
-      ::setenv("GBX_SIMD", simd::LevelName(level), 1);
-      simd::ReresolveFromEnvForTest();
+    for (std::uint64_t seed : {4, 5}) {
       SCOPED_TRACE("n " + std::to_string(n) + " dims " +
-                   std::to_string(dims) + " level " + simd::LevelName(level));
-      for (std::uint64_t seed : {4, 5}) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
-        int members = 0;
-        for (const GranularBall& ball : result.balls.balls()) {
-          if (ball.size() > 1) members += ball.size();
-        }
-        EXPECT_GE(members, n / 40);
-        EXPECT_GT(result.noise_indices.size(), 0u);
+                   std::to_string(dims) + " seed " + std::to_string(seed));
+      const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
+      EXPECT_GT(result.iterations, 4 * (1 + std::log2(n)));
+      if (dims == 2) {
+        EXPECT_TRUE(StartedASecondEpoch(ds, result));
       }
+      int members = 0;
+      for (const GranularBall& ball : result.balls.balls()) {
+        if (ball.size() > 1) members += ball.size();
+      }
+      EXPECT_GE(members, n / 40);
+      EXPECT_GT(result.noise_indices.size(), 0u);
     }
   }
-  if (prev != nullptr) {
-    ::setenv("GBX_SIMD", saved.c_str(), 1);
-  } else {
-    ::unsetenv("GBX_SIMD");
-  }
-  simd::ReresolveFromEnvForTest();
 }
 
 }  // namespace
