@@ -39,6 +39,15 @@ bool InU(SampleState s) {
   return s == SampleState::kUndivided || s == SampleState::kLowDensity;
 }
 
+// Flat list passes, by kind: a round pass covers one round's candidates,
+// an epoch pass all of T.
+metrics::Counter* ListPassCounter(const char* pass) {
+  return metrics::MetricsRegistry::Default().GetCounter(
+      "gbx_core_rdgbg_list_passes_total", {{"pass", pass}},
+      "RD-GBG flat neighbor-list passes; pass=round covers one round's "
+      "candidates, pass=epoch every undivided sample");
+}
+
 double MsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
@@ -46,10 +55,10 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 }
 
 // Squared distance to a neighbor candidate. The (dist2, index) pair is a
-// strict total order, so any selection schedule — the epoch pass's
-// filtered top-K with its bounded and lazily sorted tiers or the
-// incremental KD-tree queries — realizes the same sorted sequence, which is what keeps the
-// strategy knob bit-identical.
+// strict total order, so any selection schedule — the flat path's
+// filtered top-K lists with their lazily sorted tail or the incremental
+// KD-tree queries — realizes the same sorted sequence, which is what
+// keeps the strategy knob bit-identical.
 using DistEntry = SquaredNeighbor;
 
 // Lazily sorted prefix over a DistEntry array. The granulation scans
@@ -161,14 +170,15 @@ class UndividedByClass {
 // candidate ends, so every pass a candidate makes sees the U it started
 // with.
 //
-// Neighbor lists are taken once per epoch, not once per round: EpochTopK
-// gives every sample of T its K nearest live samples, and an epoch lasts
-// until the next compaction, so a list outlives many rounds. U only
-// shrinks, so a list taken over an earlier U and filtered by liveness is
-// an exact prefix of its sample's current sorted list.
+// TakeLists gives each sample it is passed the ids of its K nearest live
+// samples, indexed by sample id, and a list serves its sample whenever it
+// becomes a candidate: U only shrinks, so a list taken over an earlier U
+// and filtered by liveness is an exact prefix of the sample's current
+// sorted list. The granulation passes either one round's candidates or,
+// for an epoch that lasts until the next compaction, all of T.
 class ResidentU {
  public:
-  explicit ResidentU(const Matrix& x)
+  ResidentU(const Matrix& x, int list_k)
       : x_(&x),
         rows_(SoaMatrix::FromMatrix(x)),
         slot_sample_(x.rows()),
@@ -176,6 +186,8 @@ class ResidentU {
         live_(x.rows(), 1),
         live_count_(x.rows()),
         dist_(x.rows()),
+        list_k_(list_k),
+        lists_(static_cast<std::size_t>(x.rows()) * list_k),
         list_counts_(x.rows()) {
     for (int i = 0; i < x.rows(); ++i) slot_sample_[i] = sample_slot_[i] = i;
   }
@@ -190,7 +202,7 @@ class ResidentU {
   }
 
   /// Compacts the slots once at least half of them are dead; true when it
-  /// did, which ends the epoch.
+  /// did, which ends an epoch.
   bool CompactIfSparse() {
     const int slots = rows_.rows();
     if ((slots - live_count_) * 2 < slots) return false;
@@ -208,31 +220,33 @@ class ResidentU {
     return true;
   }
 
-  /// The epoch pass: for every sample t of `samples` (live samples), the
-  /// ids of the k nearest other live samples in ascending (dist2, sample)
-  /// order, read back through List(t). The samples run in chunks of
-  /// SquaredTopKQueriesPerPass(), one simd::SquaredTopK call over every
-  /// live slot per chunk, and the chunks split over up to `threads`
-  /// workers, each chunk with its own pair scratch. The kernel ranks
-  /// slots, and slot order is sample order, so mapping slots to samples
-  /// keeps the (dist2, sample) order. Only ids are kept: a view computes
-  /// an entry's distance when it reads it.
-  void EpochTopK(const std::vector<int>& samples, int k, int threads) {
+  /// For every sample t of `samples` (live samples), the ids of the
+  /// min(K, live - 1) nearest other live samples in ascending (dist2,
+  /// sample) order, read back through List(t). The samples run in chunks
+  /// of at most SquaredTopKQueriesPerPass(), one simd::SquaredTopK call
+  /// over every slot per chunk, and the chunks split over up to `threads`
+  /// workers (a short pass gets smaller chunks so that each worker has
+  /// one), each chunk with its own pair scratch. The kernel ranks slots,
+  /// and slot order is sample order, so mapping slots to samples keeps
+  /// the (dist2, sample) order. Only ids are kept: a view computes an
+  /// entry's distance when it reads it.
+  void TakeLists(const std::vector<int>& samples, int threads) {
     const int nq = static_cast<int>(samples.size());
-    const int per_pass = simd::SquaredTopKQueriesPerPass();
-    list_k_ = k;
-    lists_.resize(static_cast<std::size_t>(x_->rows()) * k);
+    const int k = std::min(list_k_, live_count_ - 1);
+    const int workers = PassWorkers(nq, threads);
+    const int per_chunk = std::min(simd::SquaredTopKQueriesPerPass(),
+                                   (nq + workers - 1) / workers);
     ParallelForRange(
-        (nq + per_pass - 1) / per_pass, 1, PassWorkers(nq, threads),
+        (nq + per_chunk - 1) / per_chunk, 1, workers,
         [&](int cbegin, int cend) {
-          std::vector<const double*> queries(per_pass);
-          std::vector<int> exclude(per_pass);
+          std::vector<const double*> queries(per_chunk);
+          std::vector<int> exclude(per_chunk);
           std::vector<std::pair<double, int>> found(
-              static_cast<std::size_t>(per_pass) * k);
-          std::vector<int> counts(per_pass);
+              static_cast<std::size_t>(per_chunk) * k);
+          std::vector<int> counts(per_chunk);
           for (int chunk = cbegin; chunk < cend; ++chunk) {
-            const int first = chunk * per_pass;
-            const int num = std::min(per_pass, nq - first);
+            const int first = chunk * per_chunk;
+            const int num = std::min(per_chunk, nq - first);
             for (int g = 0; g < num; ++g) {
               queries[g] = x_->Row(samples[first + g]);
               exclude[g] = sample_slot_[samples[first + g]];
@@ -242,7 +256,7 @@ class ResidentU {
                               found.data(), counts.data());
             for (int g = 0; g < num; ++g) {
               const int t = samples[first + g];
-              int* list = lists_.data() + static_cast<std::size_t>(t) * k;
+              int* list = lists_.data() + static_cast<std::size_t>(t) * list_k_;
               const std::pair<double, int>* entries =
                   found.data() + static_cast<std::size_t>(g) * k;
               for (int e = 0; e < counts[g]; ++e) {
@@ -254,7 +268,7 @@ class ResidentU {
         });
   }
 
-  /// Sample t's epoch list (t was in the epoch's `samples`), unfiltered.
+  /// Sample t's list from the last pass that covered t, unfiltered.
   const int* List(int t) const {
     return lists_.data() + static_cast<std::size_t>(t) * list_k_;
   }
@@ -262,22 +276,6 @@ class ResidentU {
 
   double SquaredDistanceTo(const double* q, int sample) const {
     return SquaredDistance(q, x_->Row(sample), x_->cols());
-  }
-
-  /// The bounded fallback: the k nearest live entries from `q` but
-  /// `exclude`'s, ascending, from one single-query top-k pass.
-  void NearestK(const double* q, int exclude, int k,
-                std::vector<DistEntry>* out) {
-    const int exclude_slot = sample_slot_[exclude];
-    nearest_.resize(k);
-    int count = 0;
-    simd::SquaredTopK(&q, 1, rows_, live_.data(), &exclude_slot, 0,
-                      rows_.rows(), k, nearest_.data(), &count);
-    out->resize(count);
-    for (int e = 0; e < count; ++e) {
-      (*out)[e] =
-          DistEntry{nearest_[e].first, slot_sample_[nearest_[e].second]};
-    }
   }
 
   /// A fresh squared-distance pass from `q` over every slot, then every
@@ -318,31 +316,28 @@ class ResidentU {
   std::vector<std::uint8_t> live_;
   int live_count_;
   std::vector<double> dist_;       // per-slot distances of FillAll's pass
-  // The epoch's lists: sample t's ids at lists_[t * list_k_ ..), with
+  // TakeLists' output: sample t's ids at lists_[t * list_k_ ..), with
   // list_counts_[t] of them.
+  int list_k_;
   std::vector<int> lists_;
   std::vector<int> list_counts_;
-  int list_k_ = 0;
-  std::vector<std::pair<double, int>> nearest_;  // NearestK's pass output
 };
 
 // The sorted neighbor view of a flat candidate. `top` holds the ids of
-// the candidate's epoch list that are still in U, in list order; each
-// entry's dist2 is computed the first time it is read (bit-identical to
-// the kernel's by the simd.h contract), because a candidate rarely reads
-// its whole list. The survivors are exactly the first entries of the
+// the candidate's list that are still in U, in list order; each entry's
+// dist2 is computed the first time it is read (bit-identical to the
+// kernel's by the simd.h contract), because a candidate rarely reads its
+// whole list. The survivors are exactly the first entries of the
 // candidate's current sorted list: every sample of today's U that the
-// epoch pass did not keep ranked behind all of them. A candidate that
-// reads past them takes two fallback tiers. The first read past them runs
-// one bounded top-k pass over today's U, 4x the epoch list's length,
-// which is again the exact sorted prefix; only a read past that takes a
-// fresh distance pass and a LazySortedPrefix over every live entry.
+// list's pass did not keep ranked behind all of them. A candidate that
+// reads past them falls back to a fresh distance pass over today's U and
+// a LazySortedPrefix over every live entry.
 class ResidentNeighborView {
  public:
   ResidentNeighborView(ResidentU* u, const double* query, int exclude,
                        int threads, std::vector<DistEntry>* top,
-                       std::vector<DistEntry>* storage, std::size_t list_k,
-                       double* fallback_ms)
+                       std::vector<DistEntry>* storage,
+                       std::size_t initial_block, double* fallback_ms)
       : u_(u),
         query_(query),
         exclude_(exclude),
@@ -350,57 +345,48 @@ class ResidentNeighborView {
         top_(top),
         storage_(storage),
         m_(static_cast<std::size_t>(u->live() - 1)),
-        list_k_(list_k),
+        initial_block_(initial_block),
         fallback_ms_(fallback_ms) {}
 
   /// Eligible neighbors (live samples minus the candidate itself).
   std::size_t size() const { return m_; }
 
   const DistEntry& operator[](std::size_t i) {
-    if (i < top_->size()) {
-      for (; measured_ <= i; ++measured_) {
-        DistEntry& e = (*top_)[measured_];
-        e.dist2 = u_->SquaredDistanceTo(query_, e.index);
-      }
-      return (*top_)[i];
+    if (i >= top_->size()) return Tail(i);
+    for (; measured_ <= i; ++measured_) {
+      DistEntry& e = (*top_)[measured_];
+      e.dist2 = u_->SquaredDistanceTo(query_, e.index);
     }
-    if (i < bounded_ || (lazy_.has_value() && i < lazy_->sorted())) {
-      return (*storage_)[i];
-    }
-    return Tail(i);
+    return (*top_)[i];
   }
 
  private:
   const DistEntry& Tail(std::size_t i) {
     std::chrono::steady_clock::time_point start;
-    if (fallback_ms_ != nullptr) start = std::chrono::steady_clock::now();
-    if (bounded_ == 0) {
-      u_->NearestK(query_, exclude_,
-                   static_cast<int>(std::min(4 * list_k_, m_)), storage_);
-      bounded_ = storage_->size();
-    }
-    if (i >= bounded_ && !lazy_.has_value()) {
-      // The lazy prefix sorts from scratch, so its first block doubles
-      // the bounded pass: [0, bounded_) stays what that pass returned.
+    const bool timed = fallback_ms_ != nullptr &&
+                       (!lazy_.has_value() || i >= lazy_->sorted());
+    if (timed) start = std::chrono::steady_clock::now();
+    if (!lazy_.has_value()) {
+      // The filtered prefix has already been read, so the first block
+      // doubles the list length.
       u_->FillAll(query_, exclude_, threads_, storage_);
-      lazy_.emplace(storage_, 2 * bounded_);
+      lazy_.emplace(storage_, 2 * initial_block_);
     }
-    const DistEntry& entry = i < bounded_ ? (*storage_)[i] : (*lazy_)[i];
-    if (fallback_ms_ != nullptr) *fallback_ms_ += MsSince(start);
+    const DistEntry& entry = (*lazy_)[i];
+    if (timed) *fallback_ms_ += MsSince(start);
     return entry;
   }
 
   ResidentU* u_;
   const double* query_;
   int exclude_;
-  int threads_;  // for the deep fallback's distance pass
+  int threads_;  // for the fallback's distance pass
   std::vector<DistEntry>* top_;
   std::vector<DistEntry>* storage_;
   std::size_t m_;
-  std::size_t list_k_;
+  std::size_t initial_block_;
   double* fallback_ms_;  // nullptr when metrics are off
   std::size_t measured_ = 0;  // top_[0, measured_) carry their dist2
-  std::size_t bounded_ = 0;   // entries of the bounded pass, 0 before it
   std::optional<LazySortedPrefix> lazy_;
 };
 
@@ -484,9 +470,9 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
   // Phase timers (gbx_core_phase_ms{phase=...}): total granulation time
   // plus the accumulated r_conf pass, neighbor search (rdgbg_scan: the
-  // flat epoch passes, or the tree fetches) and the flat reads past an
-  // epoch list (rdgbg_fallback: the bounded passes, the fresh distance
-  // passes and the lazy sort; 0 under the trees). Behind metrics::Enabled() because each probe adds
+  // flat list passes, or the tree fetches) and the flat deep-read
+  // fallback (rdgbg_fallback: fresh distance passes plus the lazy sort;
+  // 0 under the trees). Behind metrics::Enabled() because each probe adds
   // two clock reads per candidate — near-zero when armed, literally zero
   // when GBX_METRICS=0.
   const bool metrics_on = metrics::Enabled();
@@ -506,10 +492,20 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   Pcg32 rng(config.seed);
 
   std::vector<DistEntry> entries;
-  // Flat strategy: the current candidate's filtered epoch list, and
-  // whether a compaction has ended the epoch.
+  // Flat strategy: the current candidate's filtered list. A round takes
+  // lists for its own candidates unless an epoch's lists for all of T
+  // are still in force; an epoch lasts until the next compaction. Each
+  // sample is a candidate at most once, so an epoch list is read only if
+  // its sample leaves T as a candidate rather than as a ball member or
+  // noise. Since the last compaction, `window_candidates` of the
+  // `window_departures` samples that left T did so as candidates, and an
+  // epoch starts once that is at least half of them.
   std::vector<DistEntry> top;
-  bool epoch_due = true;
+  bool epoch_lists = false;
+  int window_candidates = 0;
+  int window_departures = 0;
+  int round_passes = 0;  // gbx_core_rdgbg_list_passes_total{pass=...}
+  int epoch_passes = 0;
   std::vector<double> chunk_mins;  // per-chunk r_conf gap minima
   // SoA mirror of `balls` streamed by the fused r_conf gap kernel
   // (simd::MinSurfaceGap); every new ball is appended to it.
@@ -521,6 +517,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   // tombstones reach half of it. kFlat scans a resident copy of U's
   // rows, kTree prunes with axis-aligned boxes, kBallTree with the
   // triangle inequality (a forced choice; kAuto never picks it).
+  const std::size_t initial_block =
+      std::max<std::size_t>(static_cast<std::size_t>(rho), 32);
   const IndexStrategy strategy =
       ResolveRdGbgIndexStrategy(config.index_strategy, n, p, threads);
   std::unique_ptr<DynamicKdTree> utree;
@@ -531,23 +529,25 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
   } else if (strategy == IndexStrategy::kBallTree) {
     ubtree = std::make_unique<BallTree>(&x);
   } else {
-    uflat = std::make_unique<ResidentU>(x);
+    uflat = std::make_unique<ResidentU>(
+        x, static_cast<int>(std::min<std::size_t>(initial_block, n)));
   }
   std::vector<int> removed_now;  // U-departures of the current candidate
-  const std::size_t initial_block =
-      std::max<std::size_t>(static_cast<std::size_t>(rho), 32);
 
   // Every state transition goes through here, so T and the candidate's
   // deferred U-departures never drift from `state`.
   const auto set_state = [&](int i, SampleState to) {
-    if (state[i] == SampleState::kUndivided) undivided.Erase(labels[i], i);
+    if (state[i] == SampleState::kUndivided) {
+      undivided.Erase(labels[i], i);
+      ++window_departures;
+    }
     state[i] = to;
     if (!InU(to)) removed_now.push_back(i);
   };
 
   std::vector<int> group_order;
   std::vector<int> candidates;
-  std::vector<int> epoch_samples;
+  std::vector<int> list_samples;
   for (;;) {
     // --- Step 1 per round: T = U - L grouped by class. ---
     group_order.clear();
@@ -570,22 +570,25 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
           undivided.Select(cls, static_cast<int>(rng.NextBounded(size))));
     }
 
-    // Flat strategy: the first round of an epoch gives every sample of T
-    // its list over today's U; each candidate later drops the entries
-    // that left U since.
-    if (uflat != nullptr && epoch_due && uflat->live() > 1) {
+    // Flat strategy: lists over today's U for this round's candidates,
+    // or for all of T when an epoch starts; each candidate later drops
+    // the entries that left U since.
+    if (uflat != nullptr && !epoch_lists && uflat->live() > 1) {
       std::chrono::steady_clock::time_point scan_start;
       if (metrics_on) scan_start = std::chrono::steady_clock::now();
-      epoch_samples.clear();
-      for (int i = 0; i < n; ++i) {
-        if (state[i] == SampleState::kUndivided) epoch_samples.push_back(i);
+      epoch_lists = window_departures > 0 &&
+                    2 * window_candidates >= window_departures;
+      if (epoch_lists) {
+        list_samples.clear();
+        for (int i = 0; i < n; ++i) {
+          if (state[i] == SampleState::kUndivided) list_samples.push_back(i);
+        }
+        uflat->TakeLists(list_samples, threads);
+        ++epoch_passes;
+      } else {
+        uflat->TakeLists(candidates, threads);
+        ++round_passes;
       }
-      uflat->EpochTopK(epoch_samples,
-                       static_cast<int>(std::min<std::size_t>(
-                           initial_block,
-                           static_cast<std::size_t>(uflat->live() - 1))),
-                       threads);
-      epoch_due = false;
       if (metrics_on) scan_accum_ms += MsSince(scan_start);
     }
 
@@ -598,7 +601,7 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
 
       // Everything from local-density detection to ball assembly,
       // against a sorted neighbor view — ResidentNeighborView over the
-      // epoch lists or TreeNeighborStream over incremental tree queries.
+      // flat lists or TreeNeighborStream over incremental tree queries.
       // Both present the same (dist2, index) total order, so the
       // instantiations make identical decisions bit-for-bit. Tombstone
       // removals are deferred (collected in removed_now) so every view
@@ -757,9 +760,8 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
         continue;
       }
 
-      // Flat strategy: the epoch list, minus the samples that left U
-      // since the epoch began; sqrt is deferred until a radius is
-      // actually assigned.
+      // Flat strategy: c's list, minus the samples that left U since it
+      // was taken; sqrt is deferred until a radius is actually assigned.
       if (uflat->live() <= 1) {
         set_state(c, SampleState::kLowDensity);  // last sample standing
         continue;
@@ -773,8 +775,12 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
                                      &entries, initial_block,
                                      metrics_on ? &fallback_accum_ms : nullptr);
       run_candidate(neighbors);
+      ++window_candidates;
       for (int idx : removed_now) uflat->Remove(idx);
-      if (uflat->CompactIfSparse()) epoch_due = true;
+      if (uflat->CompactIfSparse()) {
+        epoch_lists = false;
+        window_candidates = window_departures = 0;
+      }
     }
   }
 
@@ -801,6 +807,10 @@ RdGbgResult GenerateRdGbg(const Dataset& dataset, const RdGbgConfig& config) {
     CorePhaseHistogram("rdgbg_rconf")->Observe(rconf_accum_ms);
     CorePhaseHistogram("rdgbg_scan")->Observe(scan_accum_ms);
     CorePhaseHistogram("rdgbg_fallback")->Observe(fallback_accum_ms);
+    if (uflat != nullptr) {
+      ListPassCounter("round")->Inc(round_passes);
+      ListPassCounter("epoch")->Inc(epoch_passes);
+    }
   }
   return result;
 }

@@ -45,16 +45,17 @@ struct RdGbgConfig {
   /// undivided sample does at gbxbench's sizes, while the deep-read
   /// fallback's one-query distance pass does for usps-sized n·d =
   /// 2000·256 and not for magic-sized 8000·10, so small inputs scan
-  /// serially at any setting. Candidate selection and all state mutation stay
-  /// sequential, so the granulation is bit-identical at every thread
+  /// serially at any setting. Candidate selection and all state mutation
+  /// stay sequential, so the granulation is bit-identical at every thread
   /// count. Reaches GBABS through GbabsConfig::gbg.
   int num_threads = 0;
   /// How the per-candidate neighbor pass scans the shrinking undivided
   /// set: kFlat serves each candidate's K = max(rho, 32) nearest from
-  /// lists that one fused distance + top-K pass per epoch takes over a
-  /// resident, tombstoned copy of U's rows (a candidate that reads past
-  /// its list takes a bounded top-4K pass, then a full lazily sorted
-  /// fill), kTree a DynamicKdTree that follows the U-set with
+  /// lists that a fused distance + top-K pass takes over a resident,
+  /// tombstoned copy of U's rows, once per round for the round's
+  /// candidates or once per epoch for all of T (falling back to a full
+  /// lazily sorted fill only for a candidate that reads past its list),
+  /// kTree a DynamicKdTree that follows the U-set with
   /// tombstone deletions (ahead of the flat scan only at d <= 2 from 2k
   /// samples, or d <= 4 from ~16k), kBallTree a metric ball-tree with
   /// triangle-inequality pruning (never ahead on a measured row, so

@@ -1,8 +1,7 @@
 // Batched flat-scan kernels behind a runtime dispatch shim. The five
 // kernels cover the system's distance-dominated hot loops — the fused
-// multi-query k-nearest scan behind RD-GBG's epoch lists, its bounded
-// fallback and KnnIndex, the squared-distance fill of RD-GBG's deep-read
-// fallback,
+// multi-query k-nearest scan behind RD-GBG's neighbor lists and
+// KnnIndex, the squared-distance fill of RD-GBG's deep-read fallback,
 // the Eq.-4 conflict-radius (r_conf) gap scan, and GB-kNN's
 // surface-score scan and fused top-k selection — each streaming a
 // SoaMatrix (common/matrix.h) so one vector register holds the same

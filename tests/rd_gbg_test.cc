@@ -1,8 +1,9 @@
 #include "core/rd_gbg.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/gb_io.h"
 #include "simd/simd.h"
@@ -295,16 +297,42 @@ TEST(RdGbgTest, UnscaledModeKeepsOriginalCoordinates) {
   }
 }
 
-// The flat strategy gives every sample of T its K = max(rho, 32)
-// nearest neighbors in one pass at the start of an epoch, over a
-// resident copy of U that compacts once half of it has left; the first
-// round after a compaction starts the next epoch. A candidate drops the
-// entries that left U since its epoch began and reads the rest nearest
-// first. A read past them runs a bounded top-4K pass over today's U, and
-// a read past that a fresh, lazily sorted full pass. The datasets below
-// drive each of those paths; the result must equal the KD-tree's bit for
-// bit at every thread count and every SIMD level.
+// The flat strategy serves each candidate its K = max(rho, 32) nearest
+// neighbors from a list over a resident copy of U that compacts once half
+// of it has left. A round pass takes lists for one round's candidates; an
+// epoch pass takes them for every sample of T and serves every round
+// until the next compaction, and one starts once most samples that left
+// T since the last compaction left as candidates. A candidate drops the
+// entries that left U since its list was taken and reads the rest nearest
+// first; a read past them takes a fresh, lazily sorted full pass. The
+// datasets below drive each of those paths; the result must equal the
+// KD-tree's bit for bit at every thread count and every SIMD level.
 constexpr int kListK = 32;
+
+struct ListPasses {
+  std::int64_t round = 0;
+  std::int64_t epoch = 0;
+};
+
+// The list passes of one flat fit, read from
+// gbx_core_rdgbg_list_passes_total; nullopt when metrics are off.
+std::optional<ListPasses> CountListPasses(const Dataset& ds,
+                                          std::uint64_t seed) {
+  if (!metrics::kCompiledIn || !metrics::Enabled()) return std::nullopt;
+  auto& reg = metrics::MetricsRegistry::Default();
+  metrics::Counter* round =
+      reg.GetCounter("gbx_core_rdgbg_list_passes_total", {{"pass", "round"}});
+  metrics::Counter* epoch =
+      reg.GetCounter("gbx_core_rdgbg_list_passes_total", {{"pass", "epoch"}});
+  const ListPasses before{round->Value(), epoch->Value()};
+  RdGbgConfig cfg;
+  cfg.seed = seed;
+  cfg.num_threads = 1;
+  cfg.index_strategy = IndexStrategy::kFlat;
+  GenerateRdGbg(ds, cfg);
+  return ListPasses{round->Value() - before.round,
+                    epoch->Value() - before.epoch};
+}
 
 std::string Fingerprint(const RdGbgResult& result) {
   std::string text = GranularBallsToString(result.balls) + "noise";
@@ -354,13 +382,13 @@ int LargestBall(const RdGbgResult& result) {
   return largest;
 }
 
-// True when a round began after the first compaction, which starts a
-// second epoch. The first compaction follows the candidate that brings
-// the departures (noise plus members of radius > 0 balls) to half of the
-// n slots, and the rest of its round removes at most one ball per class,
-// so more departures than n/2 plus one largest ball per class need a
-// later round.
-bool StartedASecondEpoch(const Dataset& ds, const RdGbgResult& result) {
+// True when a round began after the first compaction, so its lists were
+// taken over the compacted copy. The first compaction follows the
+// candidate that brings the departures (noise plus members of radius > 0
+// balls) to half of the n slots, and the rest of its round removes at
+// most one ball per class, so more departures than n/2 plus one largest
+// ball per class need a later round.
+bool RoundAfterCompaction(const Dataset& ds, const RdGbgResult& result) {
   int departed = static_cast<int>(result.noise_indices.size());
   for (const GranularBall& ball : result.balls.balls()) {
     if (ball.radius > 0.0) departed += ball.size();
@@ -369,10 +397,10 @@ bool StartedASecondEpoch(const Dataset& ds, const RdGbgResult& result) {
          ds.size() + 2 * ds.num_classes() * LargestBall(result);
 }
 
-TEST(RdGbgFlatScanTest, ReadsPastTheBoundedPassMatchTree) {
+TEST(RdGbgFlatScanTest, CandidatesReadingPastTopKMatchTree) {
   // One dense class-0 cluster of 600 samples plus a dozen class-1/2
   // stragglers spread around it: a class-0 candidate's consistent
-  // region runs far past its 4K nearest neighbors.
+  // region runs far past its K nearest neighbors.
   const int cluster = 600;
   const int stragglers = 12;
   Matrix x(cluster + stragglers, 3);
@@ -390,19 +418,19 @@ TEST(RdGbgFlatScanTest, ReadsPastTheBoundedPassMatchTree) {
   for (std::uint64_t seed : {1, 2, 3}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
-    // A ball of more than 4K + 1 members read past the bounded pass.
+    // A ball of more than 4K + 1 members read far past its list.
     EXPECT_GT(LargestBall(result), 4 * kListK + 1);
   }
 }
 
 TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
   // Four well-separated classes of three clusters each: balls swallow
-  // whole clusters, so U shrinks in big steps, the resident copy
-  // compacts, and the round after it starts a second epoch over the
-  // compacted copy. The balls hold more than K + 1 but at most 4K + 1
-  // members, so their reads end inside the bounded pass. n·p starts
-  // above the flat scan's parallel threshold, so the epoch passes also
-  // split across workers.
+  // whole clusters, so few samples leave T as candidates and the rounds
+  // take round passes; U shrinks in big steps, the resident copy
+  // compacts, and later rounds take their lists over the compacted copy.
+  // The balls hold more than K + 1 members, so their reads run past the
+  // lists. n·p times a round's candidates starts above the flat scan's
+  // parallel threshold, so the round passes also split across workers.
   BlobsConfig cfg;
   cfg.num_samples = 1100;
   cfg.num_classes = 4;
@@ -413,16 +441,22 @@ TEST(RdGbgFlatScanTest, CompactedResidentSetMatchesTree) {
   Pcg32 rng(8102);
   const Dataset ds = MakeGaussianBlobs(cfg, &rng);
   const RdGbgResult result = ExpectFlatMatchesTree(ds, 5);
-  EXPECT_TRUE(StartedASecondEpoch(ds, result));
+  EXPECT_TRUE(RoundAfterCompaction(ds, result));
   EXPECT_GT(LargestBall(result), kListK + 1);
-  EXPECT_LE(LargestBall(result), 4 * kListK + 1);
   EXPECT_GT(result.iterations, 2);
+  if (const std::optional<ListPasses> passes = CountListPasses(ds, 5)) {
+    EXPECT_EQ(passes->epoch, 0);
+    EXPECT_EQ(passes->round, result.iterations);
+  }
 }
 
 // Candidates whose neighborhoods overlap: K clusters in which every class
 // is present, so a ball or noise removal takes samples out of the epoch
-// lists of candidates that run rounds later.
-Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
+// lists of candidates that run rounds later. Most candidates end as
+// noise, small balls or low-density samples, so most samples leave T as
+// candidates and the rounds take epoch passes.
+Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed,
+                      double own_class = 0.85) {
   const int clusters = 5;
   Pcg32 rng(seed);
   Matrix centers(clusters, dims);
@@ -437,7 +471,7 @@ Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
       x.At(i, j) = centers.At(c, j) + 0.4 * rng.NextGaussian();
     }
     // Mostly the cluster's own class, the rest spread over the others.
-    labels.push_back(rng.NextDouble() < 0.85
+    labels.push_back(rng.NextDouble() < own_class
                          ? c % classes
                          : static_cast<int>(rng.NextBounded(classes)));
   }
@@ -445,23 +479,29 @@ Dataset MixedClusters(int n, int dims, int classes, std::uint64_t seed) {
 }
 
 TEST(RdGbgFlatScanTest, EpochListsOutliveManyRoundsMatchTree) {
-  // Each compaction halves the slots, so a fit has at most 1 + log2(n)
-  // epochs and most rounds read lists taken many rounds earlier. The
-  // small d = 2 sets put candidates close together, so a removed entry
-  // often sits among a later candidate's nearest few, where serving it
-  // would change the decision; they also start a second epoch. d = 72
-  // reads past many lists into both fallback tiers, and puts n·p above
-  // the parallel threshold, so the epoch pass splits across workers.
-  for (const auto& [dims, n] :
-       {std::pair{2, 300}, std::pair{2, 800}, std::pair{72, 1000}}) {
-    const Dataset ds = MixedClusters(n, dims, 4, 8103 + dims);
+  // An epoch lasts until the next compaction, so most rounds read lists
+  // taken many rounds earlier. The small d = 2 sets put candidates close
+  // together, so a removed entry often sits among a later candidate's
+  // nearest few, where serving it would change the decision. With half
+  // the labels spread over all classes, more candidates end as noise or
+  // low-density samples, so an epoch starts early enough that a second
+  // one follows a compaction. d = 72 reads past many lists, and puts n·p
+  // above the parallel threshold, so the epoch pass splits across
+  // workers.
+  for (const auto& [dims, n, own_class] :
+       {std::tuple{2, 300, 0.85}, std::tuple{2, 800, 0.85},
+        std::tuple{2, 800, 0.5}, std::tuple{72, 1000, 0.85}}) {
+    const Dataset ds = MixedClusters(n, dims, 4, 8103 + dims, own_class);
     for (std::uint64_t seed : {4, 5}) {
       SCOPED_TRACE("n " + std::to_string(n) + " dims " +
-                   std::to_string(dims) + " seed " + std::to_string(seed));
+                   std::to_string(dims) + " own " + std::to_string(own_class) +
+                   " seed " + std::to_string(seed));
       const RdGbgResult result = ExpectFlatMatchesTree(ds, seed);
-      EXPECT_GT(result.iterations, 4 * (1 + std::log2(n)));
-      if (dims == 2) {
-        EXPECT_TRUE(StartedASecondEpoch(ds, result));
+      if (const std::optional<ListPasses> passes = CountListPasses(ds, seed)) {
+        EXPECT_GE(passes->epoch, own_class < 0.85 ? 2 : 1);
+        // Rounds that took no pass read an epoch's lists.
+        EXPECT_GT(result.iterations - passes->round - passes->epoch,
+                  4 * passes->epoch);
       }
       int members = 0;
       for (const GranularBall& ball : result.balls.balls()) {
